@@ -212,7 +212,9 @@ def test_balancing_at_mainnet_scale_completes_in_seconds():
         f"\nbalancing @10k (mainnet config, {EPOCHS} epochs): {elapsed:.1f}s, "
         f"peak views {result.peak_view_count}"
     )
-    assert elapsed < 120.0
+    # ~1.2s measured on a 2-core x86_64 VM with the cached branch weights
+    # and memoized targeted-send audiences (~5s without them).
+    assert elapsed < 15.0
 
 
 def test_gossip_latency_at_mainnet_scale_completes_in_seconds():

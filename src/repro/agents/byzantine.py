@@ -20,6 +20,7 @@ can target messages at one partition or withhold them for later release.
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -346,6 +347,20 @@ class SwayerByzantine(ValidatorAgent):
         self.sway_delay = sway_delay
         self.tag_left = tag_left
         self.tag_right = tag_right
+        # Targeted-send audiences, built once: each half plus every
+        # Byzantine validator (so the adversary's own view never splits).
+        self._left_audience = self.left + self.byzantine
+        self._right_audience = self.right + self.byzantine
+
+    def for_validator(self, validator_index: int) -> "SwayerByzantine":
+        """A swayer of the same attack acting as ``validator_index``.
+
+        Shares this agent's index and audience tuples instead of copying
+        them, so a coalition of thousands holds one copy of each.
+        """
+        twin = copy.copy(self)
+        twin.validator_index = validator_index
+        return twin
 
     @property
     def is_byzantine(self) -> bool:
@@ -392,8 +407,10 @@ class SwayerByzantine(ValidatorAgent):
             return self.tag_left, self.tag_right
         return self.tag_right, self.tag_left
 
-    def _half_of(self, tag: str) -> Tuple[int, ...]:
-        return self.left if tag == self.tag_left else self.right
+    def _audience_of(self, tag: str) -> Tuple[int, ...]:
+        """The honest half behind ``tag`` (left for ``tag_left``, else
+        right) plus every Byzantine validator."""
+        return self._left_audience if tag == self.tag_left else self._right_audience
 
     # ------------------------------------------------------------------
     def propose(self, ctx: AgentContext) -> List[ProposalAction]:
@@ -414,12 +431,8 @@ class SwayerByzantine(ValidatorAgent):
                 include_evidence=False,
             )
             return [
-                ProposalAction(
-                    block=left_block, recipients=self.left + self.byzantine
-                ),
-                ProposalAction(
-                    block=right_block, recipients=self.right + self.byzantine
-                ),
+                ProposalAction(block=left_block, recipients=self._left_audience),
+                ProposalAction(block=right_block, recipients=self._right_audience),
             ]
         heads = self._tagged_branch_heads(ctx)
         if len(heads) < 2:
@@ -451,7 +464,7 @@ class SwayerByzantine(ValidatorAgent):
         return [
             AttestationAction(
                 attestation=attestation,
-                recipients=self._half_of(heavier) + self.byzantine,
+                recipients=self._audience_of(heavier),
                 delay=self.sway_delay,
             )
         ]

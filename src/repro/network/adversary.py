@@ -14,8 +14,8 @@ Audience resolution is *endpoint-aware*: the view-sharded engine simulates
 one node per view group, so a partition-targeted message needs one
 delivery per group, not one per validator.  The engine installs an
 endpoint resolver (validator index → delivery endpoint) and the adversary
-collapses + caches each partition audience through it, making targeted
-sends O(groups) instead of O(validators).
+collapses + caches each partition or exact-validator audience through
+it, making repeated targeted sends O(groups) instead of O(validators).
 """
 
 from __future__ import annotations
@@ -39,7 +39,10 @@ class Adversary:
     def __post_init__(self) -> None:
         self.byzantine_indices = set(self.byzantine_indices)
         self._endpoint_of: Callable[[int], int] = lambda index: index
-        self._audience_cache: Dict[Tuple[str, bool], Tuple[int, ...]] = {}
+        #: Resolved endpoints per audience: ``(partition, include_byzantine)``
+        #: for partition sends, the recipient tuple for exact-validator
+        #: sends.  Valid until the next topology change.
+        self._audience_cache: Dict[Tuple, Tuple[int, ...]] = {}
         self._split_hook: Optional[Callable[[Tuple[int, ...]], Tuple[int, ...]]] = None
 
     # ------------------------------------------------------------------
@@ -161,13 +164,20 @@ class Adversary:
         group the audience only partially covers, so the returned
         endpoints cover exactly ``recipients``; a positive ``delay``
         releases the message that many seconds after its nominal send
-        time (the swayer's "just before the deadline" timing).
+        time (the swayer's "just before the deadline" timing).  The
+        endpoints are cached per recipient tuple until the next topology
+        change: until then the hook would split nothing and return the
+        same endpoints.
         """
         targets = tuple(recipients)
-        if self._split_hook is not None:
-            endpoints = self._split_hook(targets)
-        else:
-            endpoints = self.resolve_endpoints(targets)
+        endpoints = self._audience_cache.get(targets)
+        if endpoints is None:
+            if self._split_hook is not None:
+                # May split groups, which clears the cache; store after.
+                endpoints = self._split_hook(targets)
+            else:
+                endpoints = self.resolve_endpoints(targets)
+            self._audience_cache[targets] = endpoints
         if delay > 0.0:
             for endpoint in endpoints:
                 self.network.send_delayed(message, endpoint, delay)

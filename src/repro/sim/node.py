@@ -40,6 +40,7 @@ from repro.core.backend import StakeBackend, get_backend
 from repro.network.message import Message, MessageKind
 from repro.spec.attestation import Attestation, attestations_from_batch
 from repro.spec.block import BeaconBlock
+from repro.spec.blocktree import UnknownBlockError
 from repro.spec.checkpoint import Checkpoint, FFGVote
 from repro.spec.config import SpecConfig
 from repro.spec.finality import FFGVotePool
@@ -124,6 +125,7 @@ class Node:
         )
         self._weights_version = 0
         self._head_cache: Optional[Tuple[Tuple[int, int], Root]] = None
+        self._subtree_cache: Optional[Tuple[Tuple[int, int], Dict[Root, float]]] = None
         #: Permanent (epoch, head) -> checkpoint cache: a fixed head's
         #: boundary ancestor never changes once the head is in the tree.
         self._checkpoint_cache: Dict[Tuple[int, Root], Checkpoint] = {}
@@ -223,6 +225,9 @@ class Node:
         clone._justified_stakes = self._justified_stakes.copy()
         clone._weights_version = self._weights_version
         clone._head_cache = self._head_cache
+        # The subtree map is a mutable dict; the two sides must never share
+        # one, as both continue from the same store version.
+        clone._subtree_cache = None
         clone._checkpoint_cache = dict(self._checkpoint_cache)
         clone._stake_arr = self._stake_arr.copy()
         clone._fc_stakes = self._fc_stakes.copy()
@@ -524,10 +529,18 @@ class Node:
 
         Uses the same justified-balance weights as :meth:`head`, so a
         swayer comparing two branches sees exactly what LMD-GHOST sees.
+        Every subtree total is computed in one pass and cached under the
+        same (store, weight) version key as the head, so repeated queries
+        between deliveries are dictionary lookups.
         """
-        return self.store.subtree_weight(
-            root, self.store._vote_weights_from_stakes(self._fc_stakes)
-        )
+        key = (self.store.version, self._weights_version)
+        if self._subtree_cache is None or self._subtree_cache[0] != key:
+            weights = self.store._vote_weights_from_stakes(self._fc_stakes)
+            self._subtree_cache = (key, self.store.subtree_weights(weights))
+        subtree = self._subtree_cache[1]
+        if root not in subtree:
+            raise UnknownBlockError(f"unknown block root {root}")
+        return subtree[root]
 
     def checkpoint_of_epoch(self, epoch: int, head: Optional[Root] = None) -> Checkpoint:
         """Checkpoint of ``epoch`` on the chain of ``head`` (default: own head)."""

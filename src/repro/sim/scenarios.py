@@ -268,15 +268,16 @@ def build_balancing_attack_simulation(
     agents: Dict[int, ValidatorAgent] = {
         index: HonestAgent(index) for index in honest_indices
     }
+    swayer = SwayerByzantine(
+        byzantine_indices[0],
+        left=left,
+        right=right,
+        byzantine=byzantine_indices,
+        split_slot=split_slot,
+        sway_delay=sway_delay,
+    )
     for index in byzantine_indices:
-        agents[index] = SwayerByzantine(
-            index,
-            left=left,
-            right=right,
-            byzantine=byzantine_indices,
-            split_slot=split_slot,
-            sway_delay=sway_delay,
-        )
+        agents[index] = swayer.for_validator(index)
     return SimulationEngine(
         registry=registry,
         agents=agents,

@@ -250,29 +250,29 @@ class Store:
             self._eligible_stakes(state, stake_override)
         )
 
-    def subtree_weight(self, root: Root, weights: Dict[Root, float]) -> float:
-        """Total vote weight of the subtree rooted at ``root``."""
-        total = weights.get(root, 0.0)
-        for child in self.tree.children_of(root):
-            total += self.subtree_weight(child, weights)
-        return total
+    def subtree_weights(self, weights: Dict[Root, float]) -> Dict[Root, float]:
+        """Total vote weight of every block's subtree, keyed by block root.
 
-    def _ghost_walk(self, weights: Dict[Root, float]) -> Root:
-        """Descend from the justified root into the heaviest subtree.
-
-        Subtree weights are accumulated in one bottom-up pass (children
-        first, by descending slot) instead of re-walking the subtree per
-        child, keeping the whole head computation O(votes + tree).
+        One bottom-up pass (children first, by descending slot) instead of
+        re-walking the subtree per block, so O(votes + tree) in all.  Each
+        total adds the block's own weight, then its children's totals in
+        ``children_of`` order — the order of the recursive definition, so
+        the floats are the same bit for bit.
         """
-        start = self.justified_checkpoint.root
-        if start not in self.tree:
-            start = self.tree.genesis_root
         subtree: Dict[Root, float] = {}
         for block in sorted(self.tree.blocks(), key=lambda b: b.slot, reverse=True):
             total = weights.get(block.root, 0.0)
             for child in self.tree.children_of(block.root):
                 total += subtree[child]
             subtree[block.root] = total
+        return subtree
+
+    def _ghost_walk(self, weights: Dict[Root, float]) -> Root:
+        """Descend from the justified root into the heaviest subtree."""
+        start = self.justified_checkpoint.root
+        if start not in self.tree:
+            start = self.tree.genesis_root
+        subtree = self.subtree_weights(weights)
         head = start
         while True:
             children = self.tree.children_of(head)

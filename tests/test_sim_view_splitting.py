@@ -9,8 +9,8 @@ the mechanics in isolation:
   the representative-is-min-member convention;
 * ``_try_merges`` re-fuses groups only when their message streams *and*
   state fingerprints have re-converged, gated by ``merge_views``;
-* the adversary's audience caches are invalidated on every topology
-  change (the staleness regression of this PR);
+* the adversary's audience caches, exact-validator memos included, are
+  invalidated on every topology change (the staleness regression);
 * the inclusion horizon bounds the attestation backlog and rebases
   member cursors without changing what proposers include.
 """
@@ -18,6 +18,7 @@ the mechanics in isolation:
 import pytest
 
 from repro.agents.honest import HonestAgent, OfflineAgent
+from repro.network.latency import FixedJitter
 from repro.network.message import Message
 from repro.network.partition import PartitionSchedule
 from repro.sim.engine import SimulationEngine
@@ -111,23 +112,24 @@ class TestSplitMechanics:
         assert engine.view_events == []
 
 
-class TestMergeMechanics:
-    def _split_and_cross_deliver(self, engine):
-        """Split 'global' along (0,1,2), then deliver the same content to
-        both sides via two distinct messages.  Returns the child name."""
-        first = _attestation_message(engine)
-        second = Message.attestation(first.payload, first.sender, first.sent_at)
-        engine.adversary.send_to_validators(first, (0, 1, 2))
-        child = "global/3"
-        assert set(engine.view_groups) == {"global", child}
-        engine.adversary.send_to_validators(
-            second, tuple(engine.view_groups[child])
-        )
-        return child
+def _split_and_cross_deliver(engine):
+    """Split 'global' along (0,1,2), then deliver the same content to
+    both sides via two distinct messages.  Returns the child name."""
+    first = _attestation_message(engine)
+    second = Message.attestation(first.payload, first.sender, first.sent_at)
+    engine.adversary.send_to_validators(first, (0, 1, 2))
+    child = "global/3"
+    assert set(engine.view_groups) == {"global", child}
+    engine.adversary.send_to_validators(
+        second, tuple(engine.view_groups[child])
+    )
+    return child
 
+
+class TestMergeMechanics:
     def test_converged_groups_remerge(self):
         engine = _offline_engine()
-        child = self._split_and_cross_deliver(engine)
+        child = _split_and_cross_deliver(engine)
         engine._deliver_due(1.0)
         engine._try_merges()
         assert set(engine.view_groups) == {"global"}
@@ -151,7 +153,7 @@ class TestMergeMechanics:
 
     def test_unequal_pending_streams_block_merge(self):
         engine = _offline_engine()
-        self._split_and_cross_deliver(engine)
+        _split_and_cross_deliver(engine)
         # Same content is in flight to both sides, but under *different*
         # message ids — the stream check must refuse until delivery.
         engine._try_merges()
@@ -159,7 +161,7 @@ class TestMergeMechanics:
 
     def test_stale_deliveries_to_dead_endpoint_are_dropped(self):
         engine = _offline_engine()
-        self._split_and_cross_deliver(engine)
+        _split_and_cross_deliver(engine)
         engine._deliver_due(1.0)
         # A broadcast sits identically in both endpoints' queues: merge is
         # legal, and the dead endpoint's copy must be dropped silently.
@@ -171,14 +173,14 @@ class TestMergeMechanics:
 
     def test_merge_views_flag_gates_the_run_loop(self):
         merging = _offline_engine(merge_views=True)
-        self._split_and_cross_deliver(merging)
+        _split_and_cross_deliver(merging)
         result = merging.run(2)
         assert len(merging.views) == 1
         assert len(result.merge_events()) == 1
         assert result.peak_view_count == 2
 
         frozen = _offline_engine(merge_views=False)
-        self._split_and_cross_deliver(frozen)
+        _split_and_cross_deliver(frozen)
         result = frozen.run(2)
         assert len(frozen.views) == 2
         assert result.merge_events() == []
@@ -223,6 +225,84 @@ class TestAdversaryCacheInvalidation:
         assert set(after) > set(before)
         new_rep = min(set(members) - set(members[:2]))
         assert new_rep in after
+
+
+def _pending_ids(engine, endpoint):
+    return [message_id for _, message_id in engine.network.pending_for(endpoint)]
+
+
+class _ReadRecordingDict(dict):
+    """A dict that counts lookups, to prove a code path never consults it."""
+
+    reads = 0
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.reads += 1
+        return super().__contains__(key)
+
+
+class TestTargetedSendMemo:
+    """Exact-validator audiences are memoized until the topology changes."""
+
+    def test_repeat_audience_skips_the_split_hook(self):
+        engine = _offline_engine()
+        adversary = engine.adversary
+        calls = []
+        hook = adversary._split_hook
+        adversary.set_split_hook(lambda targets: calls.append(targets) or hook(targets))
+        for _ in range(3):
+            adversary.send_to_validators(_attestation_message(engine), tuple(range(8)))
+        assert len(calls) == 1
+
+    def test_repeat_after_split_resolves_current_endpoints(self):
+        engine = _offline_engine()
+        adversary = engine.adversary
+        everyone = tuple(range(8))
+        adversary.send_to_validators(_attestation_message(engine), everyone)
+        assert adversary._audience_cache[everyone] == (0,)
+        adversary.send_to_validators(_attestation_message(engine), (0, 1, 2))
+        assert set(engine.view_groups) == {"global", "global/3"}
+        again = _attestation_message(engine)
+        adversary.send_to_validators(again, everyone)
+        assert adversary._audience_cache[everyone] == (0, 3)
+        assert again.message_id in _pending_ids(engine, 0)
+        assert again.message_id in _pending_ids(engine, 3)
+
+    def test_repeat_after_remerge_resolves_current_endpoints(self):
+        engine = _offline_engine(merge_views=True)
+        adversary = engine.adversary
+        everyone = tuple(range(8))
+        _split_and_cross_deliver(engine)
+        adversary.send_to_validators(_attestation_message(engine), everyone)
+        assert adversary._audience_cache[everyone] == (0, 3)
+        engine._deliver_due(1.0)
+        engine._try_merges()
+        assert set(engine.view_groups) == {"global"}
+        again = _attestation_message(engine)
+        adversary.send_to_validators(again, everyone)
+        # A stale memo would also address the dead endpoint 3.
+        assert adversary._audience_cache[everyone] == (0,)
+        assert _pending_ids(engine, 0) == [again.message_id]
+        assert _pending_ids(engine, 3) == []
+
+    def test_modeled_latency_buckets_never_read_the_memo(self):
+        engine = build_honest_simulation(
+            n_validators=12, latency_model=FixedJitter(base=0.5, jitter=6.0, seed=2)
+        )
+        memo = _ReadRecordingDict()
+        engine.adversary._audience_cache = memo
+        result = engine.run(2)
+        assert result.split_events(), "wide jitter must split views via the buckets"
+        assert memo.reads == 0
+        assert memo == {}
 
 
 class TestInclusionHorizon:

@@ -162,6 +162,31 @@ class TestGetHead:
         assert chain[-1].root == store.get_head(state)
 
 
+class TestSubtreeWeights:
+    @staticmethod
+    def recursive(store, root, weights):
+        total = weights.get(root, 0.0)
+        for child in store.tree.children_of(root):
+            total += TestSubtreeWeights.recursive(store, child, weights)
+        return total
+
+    def test_equals_recursive_sum_bit_for_bit(self, store):
+        a, b = add_fork(store)
+        blocks = [a, b]
+        for slot in range(2, 6):
+            for parent in blocks[-2:]:
+                child = BeaconBlock.create(
+                    slot=slot, proposer_index=slot, parent_root=parent.root, branch_tag=str(slot)
+                )
+                store.on_block(child)
+                blocks.append(child)
+        weights = {blk.root: 0.1 * (i + 1) + 1.0 / (i + 3) for i, blk in enumerate(blocks)}
+        subtree = store.subtree_weights(weights)
+        assert set(subtree) == {blk.root for blk in store.tree.blocks()}
+        for root, total in subtree.items():
+            assert total == self.recursive(store, root, weights)
+
+
 class TestCheckpointHelpers:
     def test_checkpoint_for_epoch_maps_to_boundary_block(self, store, config, state):
         # Build a chain across one epoch boundary.
