@@ -38,7 +38,13 @@ import numpy as np
 from repro import constants
 from repro.core.backend import StakeBackend, StakeRules, get_backend
 from repro.core.stake_engine import BatchedStakeEngine
-from repro.core.trials import DEFAULT_CHUNK_SIZE, TrialChunk, run_chunk_groups
+from repro.core.trials import (
+    DEFAULT_CHUNK_SIZE,
+    TrialChunk,
+    group_chunks,
+    plan_chunks,
+    run_tasks,
+)
 from repro.spec.config import SpecConfig
 
 #: Target element count per batched state array: the kernel-batch width is
@@ -375,13 +381,14 @@ class BouncingMonteCarlo:
             if record_epochs is not None
             else [horizon]
         )
-        trials = run_chunk_groups(
+        groups = group_chunks(
+            plan_chunks(n_trials, seed=self.seed, chunk_size=chunk_size),
+            batch if batch is not None else self.default_batch(n_trials, chunk_size),
+        )
+        trials = run_tasks(
             _simulate_group,
-            n_trials,
-            seed=self.seed,
+            groups,
             jobs=jobs,
-            chunk_size=chunk_size,
-            batch=batch if batch is not None else self.default_batch(n_trials, chunk_size),
             worker_args=(self, horizon, epochs, record_stakes),
         )
         return BouncingMonteCarloResult(

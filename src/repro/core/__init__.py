@@ -5,10 +5,9 @@ Equations 1–2 (inactivity scores and penalties, score floor, 16.75-ETH
 ejection), attestation rewards/penalties (leak-gated, capped at the maximum
 effective balance), slashing with exit scheduling and Casper FFG
 justification/finalization over flat checkpoint-vote arrays — with a
-vectorized ``"numpy"`` backend, a pure-loop ``"python"`` reference and an
-optional JIT-compiled ``"numba"`` backend (registered only when numba is
-installed), plus the seeded parallel trial runner and trial-batched engine
-used by the Monte-Carlo experiments.
+vectorized ``"numpy"`` backend and a pure-loop ``"python"`` reference,
+plus the seeded parallel task runner and trial-batched engine used by the
+Monte-Carlo experiments and sweeps.
 """
 
 from repro.core.backend import (
@@ -27,7 +26,6 @@ from repro.core.backend import (
     available_backends,
     get_backend,
     leak_mask,
-    register_backend,
 )
 from repro.core.attestation_batch import AttestationBatch, AttestationColumns
 from repro.core.ffg import (
@@ -44,14 +42,10 @@ from repro.core.trials import (
     TaskChunk,
     TrialChunk,
     group_chunks,
-    parallel_map,
     plan_chunks,
     plan_task_chunks,
     resolve_jobs,
-    run_chunk_groups,
-    run_chunked,
-    run_task_chunks,
-    run_trials,
+    run_tasks,
 )
 
 __all__ = [
@@ -84,13 +78,8 @@ __all__ = [
     "group_chunks",
     "justified_at",
     "leak_mask",
-    "parallel_map",
     "plan_chunks",
     "plan_task_chunks",
-    "register_backend",
     "resolve_jobs",
-    "run_chunk_groups",
-    "run_chunked",
-    "run_task_chunks",
-    "run_trials",
+    "run_tasks",
 ]

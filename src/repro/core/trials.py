@@ -1,37 +1,36 @@
-"""Seeded, chunked, optionally-parallel trial execution.
+"""Seeded, chunked, optionally-parallel task execution.
 
-Monte-Carlo experiments run many independent seeded trials; this module
-gives them one execution engine with two guarantees:
+Every parallel workload in this package — Monte-Carlo trials, slot-sim
+sweeps, closed-form grid maps — is one job: run picklable *units* of work
+and flatten their results in plan order.  :func:`run_tasks` is the one
+runner that does it, with two guarantees:
 
-* **Determinism** — every chunk of trials receives a child
-  :class:`numpy.random.SeedSequence` spawned from the root seed, and the
-  chunk plan depends only on ``(n_trials, chunk_size)``.  Results are
-  therefore identical whatever ``jobs`` is: a parallel run equals a serial
-  run bit for bit (the regression tests assert this).
-* **Throughput** — chunks are dispatched to a ``ProcessPoolExecutor`` when
-  ``jobs`` asks for more than one worker, and workers receive whole chunks
-  so the vectorized backends can batch every trial of a chunk into one
-  array program.
+* **Determinism** — a unit plan is a pure function of its inputs, never
+  of ``jobs``, and results are flattened in plan order.  A worker that
+  draws only from its unit's own seed (a :class:`TrialChunk` spawned by
+  :func:`plan_chunks`) or from its task content (a :class:`TaskChunk`
+  from :func:`plan_task_chunks`) therefore gives identical results at any
+  parallelism level: a parallel run equals a serial run bit for bit (the
+  regression tests assert this).
+* **Throughput** — units are dispatched to a process pool when ``jobs``
+  asks for more than one worker, and workers receive whole units
+  so the vectorized backends can batch every trial of a unit into one
+  array program.  :func:`group_chunks` stacks contiguous trial chunks into
+  larger kernel batches without touching the chunk plan, so batching is a
+  pure throughput knob: results are independent of ``batch`` as well as
+  ``jobs``.
 
-``run_chunk_groups`` stacks contiguous chunks into larger kernel batches
-without touching the chunk plan, so batching is a pure throughput knob:
-results are independent of ``batch`` as well as ``jobs``.
-
-``run_task_chunks`` is the task-generic sibling: it chunks an arbitrary
-list of *task descriptions* (grid points, scenario/trial pairs, …) with
-the same contiguous, order-preserving plan and dispatches whole chunks to
-workers.  Tasks that carry their own determinism (a seed derived from the
-task content, as the slot-sim sweeps do) are jobs- and chunk-size-
-invariant by construction.  ``parallel_map`` is the per-item sibling used
-by deterministic closed-form grid sweeps.
+A unit is anything with a ``size`` — the number of results its worker
+must return.  :class:`PerTaskWorker` adapts a per-item function to the
+unit interface for deterministic grid maps.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,9 +41,9 @@ DEFAULT_CHUNK_SIZE = 64
 
 
 class DispatchCancelled(RuntimeError):
-    """A chunked dispatch was cancelled before every unit completed.
+    """A dispatch was cancelled before every unit completed.
 
-    Raised by the dispatch core when a ``cancel`` predicate turns true.
+    Raised by :func:`run_tasks` when a ``cancel`` predicate turns true.
     Units already delivered through ``on_unit_done`` are final — the
     experiment service persists each one as it arrives, so cancellation
     (graceful shutdown, job timeout) loses at most the in-flight units.
@@ -66,6 +65,37 @@ class TrialChunk:
     def rng(self) -> np.random.Generator:
         """A fresh generator for this chunk's seed."""
         return np.random.default_rng(self.seed)
+
+
+class ChunkGroup(list):
+    """Contiguous trial chunks dispatched as one unit: a list plus ``size``."""
+
+    @property
+    def size(self) -> int:
+        return sum(chunk.size for chunk in self)
+
+
+@dataclass(frozen=True)
+class TaskChunk:
+    """A contiguous block of task descriptions plus its position.
+
+    The task-generic counterpart of :class:`TrialChunk`: instead of a
+    spawned seed it carries the tasks themselves — whatever picklable
+    descriptions the caller enumerated (grid points, ``(scenario, trial)``
+    pairs, …).  Workers that derive all randomness from the task content
+    are deterministic whatever the chunking.
+    """
+
+    start: int
+    tasks: Tuple[Any, ...]
+
+    @property
+    def size(self) -> int:
+        return len(self.tasks)
+
+    @property
+    def stop(self) -> int:
+        return self.start + len(self.tasks)
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -96,96 +126,7 @@ def plan_chunks(
     ]
 
 
-def _run_chunk_worker(
-    worker: Callable[..., Sequence[Any]], chunk: TrialChunk, args: Tuple[Any, ...]
-) -> List[Any]:
-    results = list(worker(chunk, *args))
-    if len(results) != chunk.size:
-        raise ValueError(
-            f"chunk worker returned {len(results)} results for {chunk.size} trials"
-        )
-    return results
-
-
-def _dispatch_units(
-    unit_runner: Callable[..., List[Any]],
-    worker: Callable[..., Sequence[Any]],
-    units: Sequence[Any],
-    worker_args: Tuple[Any, ...],
-    jobs: Optional[int],
-    on_unit_done: Optional[Callable[[int, List[Any]], None]] = None,
-    cancel: Optional[Callable[[], bool]] = None,
-) -> List[Any]:
-    """Run ``unit_runner(worker, unit, worker_args)`` for every unit; flatten.
-
-    The shared dispatch core behind every chunked runner in this module:
-    serial below two workers, a ``ProcessPoolExecutor`` otherwise, always
-    flattening per-unit result lists in submission order — so the output
-    never depends on ``jobs``.
-
-    ``on_unit_done(index, results)`` is called once per unit, in plan
-    order, as soon as the unit's results are available — the observation
-    hook the experiment service uses to persist per-trial results and
-    stream progress.  ``cancel()`` is polled between units; when it turns
-    true the dispatch raises :class:`DispatchCancelled` (pending pool
-    futures are cancelled; units already observed are final).
-    """
-    n_workers = min(resolve_jobs(jobs), len(units))
-    per_unit: List[List[Any]] = []
-    if n_workers <= 1:
-        for index, unit in enumerate(units):
-            if cancel is not None and cancel():
-                raise DispatchCancelled(
-                    f"dispatch cancelled after {index} of {len(units)} units"
-                )
-            results = unit_runner(worker, unit, worker_args)
-            if on_unit_done is not None:
-                on_unit_done(index, results)
-            per_unit.append(results)
-    else:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            futures = [
-                pool.submit(unit_runner, worker, unit, worker_args) for unit in units
-            ]
-            try:
-                for index, future in enumerate(futures):
-                    if cancel is not None and cancel():
-                        raise DispatchCancelled(
-                            f"dispatch cancelled after {index} of {len(units)} units"
-                        )
-                    results = future.result()
-                    if on_unit_done is not None:
-                        on_unit_done(index, results)
-                    per_unit.append(results)
-            except BaseException:
-                for future in futures:
-                    future.cancel()
-                raise
-    return [result for unit_results in per_unit for result in unit_results]
-
-
-def run_chunked(
-    worker: Callable[..., Sequence[Any]],
-    n_trials: int,
-    *,
-    seed: int = 0,
-    jobs: Optional[int] = None,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    worker_args: Tuple[Any, ...] = (),
-) -> List[Any]:
-    """Run ``worker(chunk, *worker_args)`` over every chunk; flatten in order.
-
-    ``worker`` must return one result per trial in the chunk and — when
-    ``jobs`` > 1 — must be picklable (a module-level function or a method
-    of a picklable object).
-    """
-    chunks = plan_chunks(n_trials, seed=seed, chunk_size=chunk_size)
-    return _dispatch_units(_run_chunk_worker, worker, chunks, worker_args, jobs)
-
-
-def group_chunks(
-    chunks: Sequence[TrialChunk], batch: int
-) -> List[List[TrialChunk]]:
+def group_chunks(chunks: Sequence[TrialChunk], batch: int) -> List[ChunkGroup]:
     """Group contiguous chunks so each group holds at most ``batch`` trials.
 
     Grouping never splits a chunk and never reorders: each group is a run
@@ -197,85 +138,19 @@ def group_chunks(
     """
     if batch <= 0:
         raise ValueError("batch must be positive")
-    groups: List[List[TrialChunk]] = []
-    current: List[TrialChunk] = []
+    groups: List[ChunkGroup] = []
+    current = ChunkGroup()
     current_size = 0
     for chunk in chunks:
         if current and current_size + chunk.size > batch:
             groups.append(current)
-            current = []
+            current = ChunkGroup()
             current_size = 0
         current.append(chunk)
         current_size += chunk.size
     if current:
         groups.append(current)
     return groups
-
-
-def _run_group_worker(
-    worker: Callable[..., Sequence[Any]],
-    group: Sequence[TrialChunk],
-    args: Tuple[Any, ...],
-) -> List[Any]:
-    results = list(worker(group, *args))
-    expected = sum(chunk.size for chunk in group)
-    if len(results) != expected:
-        raise ValueError(
-            f"group worker returned {len(results)} results for {expected} trials"
-        )
-    return results
-
-
-def run_chunk_groups(
-    worker: Callable[..., Sequence[Any]],
-    n_trials: int,
-    *,
-    seed: int = 0,
-    jobs: Optional[int] = None,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    batch: Optional[int] = None,
-    worker_args: Tuple[Any, ...] = (),
-) -> List[Any]:
-    """Run ``worker(chunks, *worker_args)`` over groups of seeded chunks.
-
-    The trial-batched sibling of :func:`run_chunked`: the chunk plan (and
-    every per-chunk seed) is still a pure function of ``(n_trials, seed,
-    chunk_size)``, but workers receive whole *groups* of contiguous chunks
-    — up to ``batch`` trials each, default one group per dispatch of
-    everything — so a vectorized engine can advance all of a group's
-    trials per kernel call.  ``worker`` must return one result per trial,
-    in trial order across its chunks.  Results are identical whatever
-    ``jobs`` and ``batch`` are (asserted by the trials tests).
-    """
-    chunks = plan_chunks(n_trials, seed=seed, chunk_size=chunk_size)
-    groups = group_chunks(chunks, batch if batch is not None else n_trials)
-    return _dispatch_units(_run_group_worker, worker, groups, worker_args, jobs)
-
-
-# ----------------------------------------------------------------------
-# Task-generic chunked execution
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class TaskChunk:
-    """A contiguous block of task descriptions plus its position.
-
-    The task-generic counterpart of :class:`TrialChunk`: instead of a
-    spawned seed it carries the tasks themselves — whatever picklable
-    descriptions the caller enumerated (grid points, ``(scenario, trial)``
-    pairs, …).  Workers that derive all randomness from the task content
-    are deterministic whatever the chunking.
-    """
-
-    start: int
-    tasks: Tuple[Any, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.tasks)
-
-    @property
-    def stop(self) -> int:
-        return self.start + len(self.tasks)
 
 
 def plan_task_chunks(
@@ -295,124 +170,70 @@ def plan_task_chunks(
     ]
 
 
-def _run_task_chunk_worker(
-    worker: Callable[..., Sequence[Any]], chunk: TaskChunk, args: Tuple[Any, ...]
-) -> List[Any]:
-    results = list(worker(chunk, *args))
-    if len(results) != chunk.size:
-        raise ValueError(
-            f"task worker returned {len(results)} results for {chunk.size} tasks"
-        )
-    return results
+class PerTaskWorker:
+    """Adapts a per-task function ``fn(task, *args)`` to a :class:`TaskChunk` worker.
+
+    Picklable whenever ``fn`` is (a module-level function or a
+    ``functools.partial`` of one), so deterministic per-item grid maps run
+    through :func:`run_tasks` like everything else.
+    """
+
+    def __init__(self, fn: Callable[..., Any]) -> None:
+        self.fn = fn
+
+    def __call__(self, chunk: TaskChunk, *args: Any) -> List[Any]:
+        return [self.fn(task, *args) for task in chunk.tasks]
 
 
-def run_task_chunks(
+def run_tasks(
     worker: Callable[..., Sequence[Any]],
-    tasks: Sequence[Any],
+    units: Sequence[Any],
     *,
     jobs: Optional[int] = None,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
     worker_args: Tuple[Any, ...] = (),
-    on_chunk_done: Optional[Callable[[TaskChunk, List[Any]], None]] = None,
+    on_unit_done: Optional[Callable[[Any, List[Any]], None]] = None,
     cancel: Optional[Callable[[], bool]] = None,
 ) -> List[Any]:
-    """Run ``worker(chunk, *worker_args)`` over chunks of ``tasks``; flatten.
+    """Run ``worker(unit, *worker_args)`` for every unit; flatten in plan order.
 
-    The task-generic chunked ProcessPool runner: ``worker`` receives a
-    :class:`TaskChunk` and must return one result per task, in task order.
-    Results come back in the original task order and are independent of
-    ``jobs`` (chunks are dispatched whole and flattened in plan order);
-    they are also independent of ``chunk_size`` whenever the worker is a
-    pure function of each task.  When ``jobs`` > 1 the worker and every
-    task must be picklable.
+    Serial below two workers, a ``ProcessPoolExecutor`` otherwise — so
+    with ``jobs`` > 1 the worker, its arguments and every unit must be
+    picklable.  Each unit's worker must return exactly ``unit.size``
+    results (a :class:`ValueError` otherwise); the flattened output never
+    depends on ``jobs``.
 
-    ``on_chunk_done(chunk, results)`` fires once per chunk in plan order
-    as results arrive (so callers can persist/stream incrementally);
-    ``cancel()`` is polled between chunks and aborts the dispatch with
-    :class:`DispatchCancelled` — chunks already observed are final.
+    ``on_unit_done(unit, results)`` is called once per unit, in plan
+    order, as soon as the unit's results are available — the observation
+    hook the experiment service uses to persist per-trial results and
+    stream progress.  ``cancel()`` is polled between units; when it turns
+    true the dispatch raises :class:`DispatchCancelled` (pending pool
+    futures are cancelled; units already observed are final).
     """
-    chunks = plan_task_chunks(tasks, chunk_size=chunk_size)
-    on_unit_done = None
-    if on_chunk_done is not None:
-        on_unit_done = lambda index, results: on_chunk_done(chunks[index], results)
-    return _dispatch_units(
-        _run_task_chunk_worker,
-        worker,
-        chunks,
-        worker_args,
-        jobs,
-        on_unit_done=on_unit_done,
-        cancel=cancel,
-    )
-
-
-class _PerTrialWorker:
-    """Adapts a per-trial function to the chunk interface (picklable).
-
-    Trial ``i`` always draws from ``SeedSequence(seed, spawn_key=(i,))`` —
-    the same child :meth:`~numpy.random.SeedSequence.spawn` would produce —
-    so per-trial streams are independent of the chunking as well.
-    """
-
-    def __init__(self, trial_fn: Callable[..., Any], seed: int) -> None:
-        self.trial_fn = trial_fn
-        self.seed = seed
-
-    def __call__(self, chunk: TrialChunk, *args: Any) -> List[Any]:
-        return [
-            self.trial_fn(
-                index,
-                np.random.default_rng(
-                    np.random.SeedSequence(self.seed, spawn_key=(index,))
-                ),
-                *args,
+    n_workers = min(resolve_jobs(jobs), len(units))
+    pool = ProcessPoolExecutor(max_workers=n_workers) if n_workers > 1 else None
+    futures: List[Future] = []
+    flat: List[Any] = []
+    try:
+        if pool is not None:
+            futures = [pool.submit(worker, unit, *worker_args) for unit in units]
+        for index, unit in enumerate(units):
+            if cancel is not None and cancel():
+                raise DispatchCancelled(
+                    f"dispatch cancelled after {index} of {len(units)} units"
+                )
+            results = list(
+                futures[index].result() if futures else worker(unit, *worker_args)
             )
-            for index in range(chunk.start, chunk.stop)
-        ]
-
-
-def run_trials(
-    trial_fn: Callable[..., Any],
-    n_trials: int,
-    *,
-    seed: int = 0,
-    jobs: Optional[int] = None,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    trial_args: Tuple[Any, ...] = (),
-) -> List[Any]:
-    """Run ``trial_fn(trial_index, rng, *trial_args)`` for every trial.
-
-    Each trial gets its own deterministically-spawned generator, so the
-    result list is independent of both ``jobs`` and ``chunk_size``
-    (chunking only groups work for dispatch).
-    """
-    return run_chunked(
-        _PerTrialWorker(trial_fn, seed),
-        n_trials,
-        seed=seed,
-        jobs=jobs,
-        chunk_size=chunk_size,
-        worker_args=trial_args,
-    )
-
-
-def parallel_map(
-    fn: Callable[[Any], Any],
-    items: Iterable[Any],
-    *,
-    jobs: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-) -> List[Any]:
-    """Order-preserving map, optionally across processes.
-
-    For deterministic work (no RNG) such as closed-form grid sweeps.  With
-    ``jobs`` <= 1 this is a plain ``map``; results never depend on ``jobs``.
-    """
-    items = list(items)
-    n_workers = resolve_jobs(jobs)
-    if n_workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    if chunk_size is None:
-        chunk_size = max(1, len(items) // (4 * n_workers))
-    with ProcessPoolExecutor(max_workers=min(n_workers, len(items))) as pool:
-        return list(pool.map(fn, items, chunksize=chunk_size))
+            if len(results) != unit.size:
+                raise ValueError(
+                    f"worker returned {len(results)} results for a unit of {unit.size}"
+                )
+            if on_unit_done is not None:
+                on_unit_done(unit, results)
+            flat.extend(results)
+    finally:
+        if pool is not None:
+            for future in futures:
+                future.cancel()
+            pool.shutdown()
+    return flat

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.sim.sweeps import ScenarioSpec, SweepResult, run_sweep_grid
+from repro.sim.sweeps import ScenarioSpec, SweepResult, run_sweep
 from repro.spec.config import SpecConfig
 
 
@@ -143,7 +143,7 @@ def run(
                     label=_label(committee_size, sway_delay),
                 )
             )
-    sweep = run_sweep_grid(specs, n_trials, jobs=jobs)
+    sweep = run_sweep(specs, n_trials, jobs=jobs)
     return BalancingDurationResult(
         committee_sizes=list(committee_sizes),
         sway_delays=[float(d) for d in sway_delays],

@@ -12,9 +12,11 @@ validators N, adversarial count F).
 Each trial draws one uniformly random committee assignment (a seeded
 shuffle split into C equal committees, the slot-k proposer being the first
 member of committee k) and checks the roles; the feasibility probability
-is the fraction of feasible trials.  Trials run through the shared seeded
-executor (:func:`repro.core.trials.run_trials`), so results are identical
-at any ``--jobs`` level and reproducible from ``--seed``.
+is the fraction of feasible trials.  Trial ``i`` of a grid point draws
+its shuffle from its own ``SeedSequence(seed, spawn_key=(i,))`` and trial
+chunks run through the shared runner (:func:`repro.core.trials.run_tasks`),
+so results are identical at any ``--jobs`` level and reproducible from
+``--seed``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.trials import run_trials
+from repro.core.trials import TrialChunk, plan_chunks, run_tasks
 
 
 def roles_feasible(
@@ -50,17 +52,29 @@ def roles_feasible(
     return True
 
 
-def _feasibility_trial(
-    index: int,
-    rng: np.random.Generator,
+def _feasibility_chunk(
+    chunk: TrialChunk,
+    seed: int,
     n_validators: int,
     n_committees: int,
     n_adversarial: int,
     swayers_per_slot: int,
-) -> bool:
+) -> List[bool]:
+    """Role feasibility of every trial in ``chunk`` (picklable for the pool).
+
+    Trial ``i`` draws from ``SeedSequence(seed, spawn_key=(i,))`` — the same
+    child :meth:`~numpy.random.SeedSequence.spawn` would produce — so
+    per-trial streams are independent of the chunking.
+    """
     committee_size = n_validators // n_committees
-    assignment = rng.permutation(n_validators)
-    return roles_feasible(assignment, committee_size, n_adversarial, swayers_per_slot)
+    outcomes = []
+    for index in range(chunk.start, chunk.stop):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+        assignment = rng.permutation(n_validators)
+        outcomes.append(
+            roles_feasible(assignment, committee_size, n_adversarial, swayers_per_slot)
+        )
+    return outcomes
 
 
 @dataclass
@@ -135,13 +149,15 @@ def run(
             raise ValueError(f"F={n_adversarial} out of range for N={n_validators}")
     probabilities: Dict[Tuple[int, int, int], float] = {}
     for position, (n_committees, n_validators, n_adversarial) in enumerate(points):
-        outcomes = run_trials(
-            _feasibility_trial,
-            n_trials,
-            # Decorrelate grid points while keeping each reproducible.
-            seed=seed + position,
+        # Decorrelate grid points while keeping each reproducible.
+        point_seed = seed + position
+        outcomes = run_tasks(
+            _feasibility_chunk,
+            plan_chunks(n_trials, seed=point_seed),
             jobs=jobs,
-            trial_args=(n_validators, n_committees, n_adversarial, swayers_per_slot),
+            worker_args=(
+                point_seed, n_validators, n_committees, n_adversarial, swayers_per_slot
+            ),
         )
         probabilities[(n_committees, n_validators, n_adversarial)] = float(
             sum(outcomes)

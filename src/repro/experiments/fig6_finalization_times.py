@@ -18,7 +18,7 @@ from repro.analysis.finalization_time import (
     threshold_epoch_non_slashing,
     threshold_epoch_slashing,
 )
-from repro.core.trials import parallel_map
+from repro.core.trials import PerTaskWorker, plan_task_chunks, run_tasks
 
 
 @dataclass
@@ -108,7 +108,11 @@ def run(
     baseline the curves extrapolate from.
     """
     beta0_values = [float(b) for b in np.linspace(0.0, beta0_max, n_points)]
-    points = parallel_map(partial(_curve_point, p0), beta0_values, jobs=jobs)
+    points = run_tasks(
+        PerTaskWorker(partial(_curve_point, p0)),
+        plan_task_chunks(beta0_values, chunk_size=1),
+        jobs=jobs,
+    )
     slashing = [point[0] for point in points]
     non_slashing = [point[1] for point in points]
     validation: Optional[Dict[str, object]] = None

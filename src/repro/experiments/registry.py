@@ -36,12 +36,6 @@ class Experiment:
     experiment_id: str
     description: str
     run: Callable[..., object]
-    #: Whether the runner may replay this experiment's rows/report from the
-    #: content-addressed result cache (``--cache-dir``).  Every registered
-    #: experiment is a deterministic function of its options and the code,
-    #: so this defaults on; flip it off when registering anything that
-    #: reads external state.
-    cacheable: bool = True
 
     #: Runner-level options an experiment may accept, in display order.
     RUNNER_OPTIONS = (

@@ -20,9 +20,8 @@ deterministically.
 ``--cache-dir`` adds a content-addressed result cache
 (:mod:`repro.cache`): every experiment is a deterministic function of its
 id, forwarded options and the implementing code, so a repeated invocation
-replays the stored rows and report instead of recomputing (``[cache]`` in
-``--list``; a ``[cache] N hits, M misses`` summary line reports what the
-store served).  Editing any source file under ``repro`` invalidates the
+replays the stored rows and report instead of recomputing (a ``[cache] N
+hits, M misses`` summary line reports what the store served).  Editing any source file under ``repro`` invalidates the
 affected entries automatically via the code fingerprint.
 """
 
@@ -48,7 +47,7 @@ def _format_result(result: object) -> str:
 
 
 def _result_payload(result: object) -> Dict[str, Any]:
-    """The cacheable essence of a result: its rows and rendered report."""
+    """The stored essence of a result: its rows and rendered report."""
     rows_method = getattr(result, "rows", None)
     rows = rows_method() if callable(rows_method) else []
     return {
@@ -129,7 +128,7 @@ def run_experiments(
     and ``latency_seed`` are passed through to experiments that accept
     them and silently ignored by the rest.
 
-    With a ``cache`` (or ``cache_dir``), each cacheable experiment's rows
+    With a ``cache`` (or ``cache_dir``), each experiment's rows
     and report are served from the content-addressed store when an entry
     matching (id, forwarded options, code fingerprint) exists, and stored
     after computing otherwise.  ``jobs`` is deliberately excluded from
@@ -138,28 +137,26 @@ def run_experiments(
     """
     if cache is None and cache_dir is not None:
         cache = ResultCache(cache_dir)
+    runner_options = {
+        "jobs": jobs,
+        "seed": seed,
+        "n_trials": trials,
+        "record_every": record_every,
+        "batch": batch,
+        "backend": backend,
+        "latency_model": latency_model,
+        "latency_seed": latency_seed,
+    }
     reports = []
     for experiment_id in experiment_ids:
         experiment = registry.get(experiment_id)
-        options = {}
         accepted = experiment.accepted_options()
-        if jobs is not None and "jobs" in accepted:
-            options["jobs"] = jobs
-        if seed is not None and "seed" in accepted:
-            options["seed"] = seed
-        if trials is not None and "n_trials" in accepted:
-            options["n_trials"] = trials
-        if record_every is not None and "record_every" in accepted:
-            options["record_every"] = record_every
-        if batch is not None and "batch" in accepted:
-            options["batch"] = batch
-        if backend is not None and "backend" in accepted:
-            options["backend"] = backend
-        if latency_model is not None and "latency_model" in accepted:
-            options["latency_model"] = latency_model
-        if latency_seed is not None and "latency_seed" in accepted:
-            options["latency_seed"] = latency_seed
-        if cache is not None and experiment.cacheable:
+        options = {
+            name: value
+            for name, value in runner_options.items()
+            if value is not None and name in accepted
+        }
+        if cache is not None:
             payload, _hit = run_cached_experiment(experiment_id, options, cache)
             result: object = CachedResult(payload)
         else:
@@ -265,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME",
         help=(
             "stake-dynamics kernel for experiments that accept one: "
-            "numpy, python, or numba when installed "
+            "numpy or python "
             "(default: each experiment's own)"
         ),
     )
@@ -324,16 +321,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 )
                 if option in accepted
             )
-            if experiment.cacheable:
-                markers += " [cache]"
             print(f"{experiment_id:<22} {experiment.description}{markers}")
         print()
         print(
             "[parallel] experiments honour --jobs; [seeded] ones --seed; "
             "[trials] ones --trials; [curve] ones --record-every; "
             "[batch] ones --batch; [backend] ones --backend; "
-            "[latency] ones --latency-model/--latency-seed; "
-            "[cache] ones replay from --cache-dir."
+            "[latency] ones --latency-model/--latency-seed. "
+            "Every experiment replays from --cache-dir."
         )
         return 0
 

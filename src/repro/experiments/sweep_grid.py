@@ -29,7 +29,7 @@ from repro.analysis.finalization_time import (
     threshold_epoch_slashing,
 )
 from repro.analysis.montecarlo import BouncingMonteCarlo
-from repro.core.trials import parallel_map
+from repro.core.trials import PerTaskWorker, plan_task_chunks, run_tasks
 
 
 @dataclass
@@ -195,37 +195,6 @@ def _empirical_exceed_cell(
     return closed_form, result.exceed_probability(horizon)
 
 
-class _ExceedCellWorker:
-    """Partial application of the workload knobs (picklable for the pool)."""
-
-    def __init__(
-        self,
-        n_trials: int,
-        horizon: int,
-        n_honest: int,
-        seed: int,
-        batch: Optional[int],
-        backend: str,
-    ) -> None:
-        self.n_trials = n_trials
-        self.horizon = horizon
-        self.n_honest = n_honest
-        self.seed = seed
-        self.batch = batch
-        self.backend = backend
-
-    def __call__(self, point: Tuple[int, float, float]) -> Tuple[float, float]:
-        return _empirical_exceed_cell(
-            point,
-            self.n_trials,
-            self.horizon,
-            self.n_honest,
-            self.seed,
-            self.batch,
-            self.backend,
-        )
-
-
 def run(
     p0_values: Sequence[float] = (0.3, 0.4, 0.5, 0.6, 0.7),
     beta0_values: Sequence[float] = (0.0, 0.1, 0.2, 0.3, 0.33),
@@ -249,7 +218,10 @@ def run(
     closed-form-vs-empirical exceed-probability gap.
     """
     points = [(p0, beta0) for p0 in p0_values for beta0 in beta0_values]
-    cells = parallel_map(_grid_cell, points, jobs=jobs)
+    # One point per unit, so a few heavy points still spread across workers.
+    cells = run_tasks(
+        PerTaskWorker(_grid_cell), plan_task_chunks(points, chunk_size=1), jobs=jobs
+    )
     grids = np.array(cells).reshape(len(p0_values), len(beta0_values), 2)
     slashing = grids[:, :, 0].copy()
     non_slashing = grids[:, :, 1].copy()
@@ -262,8 +234,12 @@ def run(
         indexed = [
             (index, p0, beta0) for index, (p0, beta0) in enumerate(points)
         ]
-        worker = _ExceedCellWorker(n_trials, horizon, n_honest, seed, batch, backend)
-        exceed_cells = parallel_map(worker, indexed, jobs=jobs)
+        exceed_cells = run_tasks(
+            PerTaskWorker(_empirical_exceed_cell),
+            plan_task_chunks(indexed, chunk_size=1),
+            jobs=jobs,
+            worker_args=(n_trials, horizon, n_honest, seed, batch, backend),
+        )
         exceed = np.array(exceed_cells).reshape(
             len(p0_values), len(beta0_values), 2
         )

@@ -16,7 +16,7 @@ from repro.analysis.finalization_time import (
     threshold_epoch_slashing,
 )
 from repro.analysis.partition_scenarios import run_slashable_byzantine_scenario
-from repro.core.trials import parallel_map
+from repro.core.trials import PerTaskWorker, plan_task_chunks, run_tasks
 
 PAPER_ROWS: Dict[float, int] = {0.0: 4685, 0.1: 4066, 0.15: 3622, 0.2: 3107, 0.33: 502}
 
@@ -114,11 +114,10 @@ def run(
     }
     simulated: Dict[float, Optional[int]] = {}
     if include_simulation:
-        thresholds = parallel_map(
-            partial(_simulate_row, p0, simulation_max_epochs),
-            beta0_values,
+        thresholds = run_tasks(
+            PerTaskWorker(partial(_simulate_row, p0, simulation_max_epochs)),
+            plan_task_chunks(beta0_values, chunk_size=1),
             jobs=jobs,
-            chunk_size=1,
         )
         simulated = dict(zip(beta0_values, thresholds))
     validation: Optional[Dict[str, object]] = None

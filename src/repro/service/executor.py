@@ -2,8 +2,8 @@
 
 The executor turns persisted job records into results:
 
-* **Sweep jobs** run through :func:`repro.sim.sweeps.run_sweep_resumable`
-  — per-trial granularity in the :class:`~repro.cache.ResultCache`, each
+* **Sweep jobs** run through :func:`repro.sim.sweeps.run_sweep` with the
+  cache — per-trial granularity in the :class:`~repro.cache.ResultCache`, each
   finished chunk stored immediately and streamed into the job record's
   progress counters.  A job killed at any point (SIGKILL included)
   resumes on the next claim from exactly the trials already stored.
@@ -28,7 +28,7 @@ from typing import Any, Callable, Dict, Optional
 from repro.cache import ResultCache
 from repro.core.trials import DispatchCancelled
 from repro.service.jobs import JobRecord, JobStore
-from repro.sim.sweeps import SWEEP_CHUNK_SIZE, ScenarioSpec, run_sweep_resumable
+from repro.sim.sweeps import SWEEP_CHUNK_SIZE, ScenarioSpec, run_sweep
 
 #: How the worker loop sleeps between queue polls when idle.
 DEFAULT_POLL_INTERVAL = 0.2
@@ -96,7 +96,7 @@ def _execute_sweep(
         record.progress = {"total": total, "done": done, "cached": cached}
         store.save(record)  # heartbeat + the stream `watch` tails
 
-    result = run_sweep_resumable(
+    result = run_sweep(
         scenario_specs,
         n_trials,
         cache,

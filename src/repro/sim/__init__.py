@@ -22,8 +22,6 @@ from repro.sim.sweeps import (
     ScenarioSpec,
     SweepResult,
     run_sweep,
-    run_sweep_cached,
-    run_sweep_grid,
     summarize_trial,
 )
 
@@ -47,7 +45,5 @@ __all__ = [
     "build_partitioned_simulation",
     "build_preset",
     "run_sweep",
-    "run_sweep_cached",
-    "run_sweep_grid",
     "summarize_trial",
 ]

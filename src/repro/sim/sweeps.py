@@ -11,33 +11,30 @@ execution layer:
   nothing heavier than a small dataclass ever crosses the process
   boundary — live ``Node``/transport graphs are neither picklable nor
   worth shipping.
-* :func:`run_sweep` / :func:`run_sweep_grid` — N seeded trials of one
-  spec (or a grid of specs) dispatched through the task-generic chunked
-  ProcessPool runner (:func:`repro.core.trials.run_task_chunks`).  Each
-  trial's engine seed is a pure function of ``(spec, trial index)``, so
-  sweep rows are byte-identical at any ``jobs`` and ``chunk_size`` level
-  (pinned by ``tests/test_sim_sweeps.py`` on both backends).
+* :func:`run_sweep` — N seeded trials of every spec in a grid, dispatched
+  in chunks through the one task runner (:func:`repro.core.trials.run_tasks`).
+  Each trial's engine seed is a pure function of ``(spec, trial index)``,
+  so sweep rows are byte-identical at any ``jobs`` and ``chunk_size``
+  level (pinned by ``tests/test_sim_sweeps.py`` on both backends).  Given
+  a :class:`~repro.cache.ResultCache`, every ``(spec, trial)`` cell is its
+  own cache entry, stored as soon as its chunk finishes, so an interrupted
+  sweep resumes from exactly the trials already on disk, a grown sweep
+  reuses its prefix, and a repeated sweep is a disk read.  The experiment
+  service (:mod:`repro.service`) executes sweep jobs this way.
 * :func:`summarize_trial` — reduces a full :class:`SimulationResult` to
   one flat JSON-native summary row (finalization lag, peak view count,
   safety/liveness flags, balance-held slots), the unit of storage for
-  the content-addressed result cache (:mod:`repro.cache`).
-* :func:`run_sweep_cached` — the whole-sweep cache wiring: a repeated
-  sweep query is a disk read, not a recompute.
-* :func:`run_sweep_resumable` — the *per-trial* cache wiring the
-  experiment service (:mod:`repro.service`) executes jobs through: every
-  ``(spec, trial)`` cell is its own cache entry, stored as soon as its
-  chunk finishes, so an interrupted sweep resumes from exactly the
-  trials already on disk and a grown sweep reuses its prefix.
+  the content-addressed result cache.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cache import ResultCache, canonical_value
-from repro.core.trials import TaskChunk, run_task_chunks
+from repro.core.trials import TaskChunk, plan_task_chunks, run_tasks
 from repro.sim.engine import SimulationEngine
 from repro.sim.results import SimulationResult
 
@@ -330,91 +327,8 @@ class SweepResult:
 
 
 # ----------------------------------------------------------------------
-# Entry points
+# Entry point
 # ----------------------------------------------------------------------
-def run_sweep_grid(
-    specs: Sequence[ScenarioSpec],
-    n_trials: int,
-    *,
-    jobs: Optional[int] = None,
-    chunk_size: int = SWEEP_CHUNK_SIZE,
-) -> SweepResult:
-    """Run ``n_trials`` seeded trials of every spec; rows in (spec, trial) order.
-
-    The (spec, trial) grid is flattened into tasks and dispatched through
-    the task-generic chunked runner: workers rebuild engines from the
-    picklable specs, run them, and return summary rows.  Rows are
-    byte-identical at any ``jobs``/``chunk_size`` because each trial's
-    randomness comes only from ``(spec seed, trial index)``.
-    """
-    if n_trials <= 0:
-        raise ValueError("n_trials must be positive")
-    specs = tuple(specs)
-    if not specs:
-        raise ValueError("at least one ScenarioSpec is required")
-    tasks = [
-        (spec_index, trial)
-        for spec_index in range(len(specs))
-        for trial in range(n_trials)
-    ]
-    rows = run_task_chunks(
-        _SweepWorker(specs), tasks, jobs=jobs, chunk_size=chunk_size
-    )
-    return SweepResult(
-        n_trials=n_trials,
-        trial_rows=rows,
-        specs=[spec.canonical() for spec in specs],
-    )
-
-
-def run_sweep(
-    spec: ScenarioSpec,
-    n_trials: int,
-    *,
-    jobs: Optional[int] = None,
-    chunk_size: int = SWEEP_CHUNK_SIZE,
-) -> SweepResult:
-    """Run ``n_trials`` seeded trials of one spec (see :func:`run_sweep_grid`)."""
-    return run_sweep_grid([spec], n_trials, jobs=jobs, chunk_size=chunk_size)
-
-
-def run_sweep_cached(
-    specs: Sequence[ScenarioSpec],
-    n_trials: int,
-    cache: ResultCache,
-    *,
-    jobs: Optional[int] = None,
-    chunk_size: int = SWEEP_CHUNK_SIZE,
-) -> Tuple[SweepResult, bool]:
-    """A grid sweep through the content-addressed result cache.
-
-    Returns ``(result, hit)``.  The cache key covers every spec's
-    canonical form plus ``n_trials`` (not ``jobs``/``chunk_size``, which
-    provably do not affect rows), so a repeated query replays from disk.
-    Both the cold and the cached path return JSON round-tripped rows —
-    byte-identical by construction.
-    """
-    specs = tuple(specs)
-    config = {
-        "specs": [spec.canonical() for spec in specs],
-        "n_trials": n_trials,
-    }
-
-    def compute() -> Dict[str, Any]:
-        result = run_sweep_grid(specs, n_trials, jobs=jobs, chunk_size=chunk_size)
-        return {"trial_rows": result.trial_rows, "specs": result.specs}
-
-    payload, hit = cache.fetch_or_compute("sim-sweep", config, compute)
-    return (
-        SweepResult(
-            n_trials=n_trials,
-            trial_rows=payload["trial_rows"],
-            specs=payload["specs"],
-        ),
-        hit,
-    )
-
-
 def trial_cache_query(spec: ScenarioSpec, trial: int) -> Tuple[Dict[str, Any], str]:
     """The ``(config, seed)`` cache address of one sweep trial.
 
@@ -425,31 +339,35 @@ def trial_cache_query(spec: ScenarioSpec, trial: int) -> Tuple[Dict[str, Any], s
     return {"spec": spec.canonical(), "trial": int(trial)}, spec.trial_seed(trial)
 
 
-def run_sweep_resumable(
+def run_sweep(
     specs: Sequence[ScenarioSpec],
     n_trials: int,
-    cache: ResultCache,
+    cache: Optional[ResultCache] = None,
     *,
     jobs: Optional[int] = None,
     chunk_size: int = SWEEP_CHUNK_SIZE,
-    progress: Optional[Any] = None,
-    cancel: Optional[Any] = None,
+    progress: Optional[Callable[[int, int, int], None]] = None,
+    cancel: Optional[Callable[[], bool]] = None,
 ) -> SweepResult:
-    """A grid sweep with *per-trial* result granularity in the cache.
+    """Run ``n_trials`` seeded trials of every spec; rows in (spec, trial) order.
 
-    The execution path the experiment service runs jobs through.  Every
-    ``(spec, trial)`` cell is first looked up in ``cache`` under
-    :data:`TRIAL_EXPERIMENT`; only the missing cells are dispatched (in
-    chunks, through the cancellable runner), and each finished chunk's
-    rows are stored *immediately* — so a run killed at any point, SIGKILL
-    included, resumes from exactly the trials already on disk.  Rows are
-    byte-identical to an uninterrupted run because hits and fresh
-    computations alike are JSON round-trips of the same summary rows,
-    assembled in (spec, trial) grid order.
+    The (spec, trial) grid is flattened into tasks and dispatched in
+    chunks through :func:`repro.core.trials.run_tasks`: workers rebuild
+    engines from the picklable specs, run them, and return summary rows.
+    Rows are byte-identical at any ``jobs``/``chunk_size`` because each
+    trial's randomness comes only from ``(spec seed, trial index)``.
 
-    ``progress(done, total, cached)`` is called once up front (the
-    resume point) and after every stored chunk.  ``cancel()`` is polled
-    between chunks; cancellation propagates
+    With a ``cache``, every ``(spec, trial)`` cell is first looked up
+    under :data:`TRIAL_EXPERIMENT`; only the missing cells are dispatched,
+    and each finished chunk's rows are stored *immediately* — so a run
+    killed at any point, SIGKILL included, resumes from exactly the trials
+    already on disk.  Hits and fresh rows alike are JSON round-trips of
+    the same summary rows, so cached, resumed and uncached sweeps return
+    byte-identical rows.
+
+    ``progress(done, total, cached)`` is called once up front (the resume
+    point) and after every finished chunk.  ``cancel()`` is polled between
+    chunks; cancellation propagates
     :class:`~repro.core.trials.DispatchCancelled` after the already-
     finished chunks were persisted — the graceful-shutdown contract.
     """
@@ -464,35 +382,38 @@ def run_sweep_resumable(
         for trial in range(n_trials)
     ]
     rows: Dict[Tuple[int, int], Dict[str, Any]] = {}
-    pending: List[Tuple[int, int]] = []
-    for task in tasks:
-        config, seed = trial_cache_query(specs[task[0]], task[1])
-        payload = cache.fetch(TRIAL_EXPERIMENT, config, seed)
-        if payload is None:  # rows are dicts, so None is unambiguous here
-            pending.append(task)
-        else:
-            rows[task] = payload
+    pending: List[Tuple[int, int]] = tasks
+    if cache is not None:
+        pending = []
+        for task in tasks:
+            config, seed = trial_cache_query(specs[task[0]], task[1])
+            payload = cache.fetch(TRIAL_EXPERIMENT, config, seed)
+            if payload is None:  # rows are dicts, so None is unambiguous here
+                pending.append(task)
+            else:
+                rows[task] = payload
     cached = len(rows)
     if progress is not None:
         progress(cached, len(tasks), cached)
 
-    def store_chunk(chunk: TaskChunk, chunk_rows: List[Dict[str, Any]]) -> None:
+    def record_chunk(chunk: TaskChunk, chunk_rows: List[Dict[str, Any]]) -> None:
         for task, row in zip(chunk.tasks, chunk_rows):
-            config, seed = trial_cache_query(specs[task[0]], task[1])
-            cache.store(TRIAL_EXPERIMENT, config, seed=seed, payload=row)
-            # The same round-trip a later hit performs, so resumed and
-            # uninterrupted runs return byte-identical rows.
-            rows[task] = json.loads(json.dumps(canonical_value(row)))
+            if cache is not None:
+                config, seed = trial_cache_query(specs[task[0]], task[1])
+                cache.store(TRIAL_EXPERIMENT, config, seed=seed, payload=row)
+                # The same round-trip a later hit performs, so resumed and
+                # uninterrupted runs return byte-identical rows.
+                row = json.loads(json.dumps(canonical_value(row)))
+            rows[task] = row
         if progress is not None:
             progress(len(rows), len(tasks), cached)
 
     if pending:
-        run_task_chunks(
+        run_tasks(
             _SweepWorker(specs),
-            pending,
+            plan_task_chunks(pending, chunk_size=chunk_size),
             jobs=jobs,
-            chunk_size=chunk_size,
-            on_chunk_done=store_chunk,
+            on_unit_done=record_chunk,
             cancel=cancel,
         )
     return SweepResult(
@@ -500,3 +421,7 @@ def run_sweep_resumable(
         trial_rows=[rows[task] for task in tasks],
         specs=[spec.canonical() for spec in specs],
     )
+
+
+#: Former name of :func:`run_sweep`, still imported by ``perfbench/``.
+run_sweep_resumable = run_sweep

@@ -1,4 +1,4 @@
-"""Tests for the seeded parallel trial runner and its consumers.
+"""Tests for the seeded parallel task runner and its consumers.
 
 The headline property: a seeded run's results are bit-identical whatever
 ``jobs`` is — chunking and per-chunk/per-trial seeds depend only on the
@@ -11,30 +11,40 @@ import pytest
 from repro.analysis.montecarlo import BouncingMonteCarlo
 from repro.core.trials import (
     DispatchCancelled,
+    PerTaskWorker,
     TaskChunk,
     TrialChunk,
     group_chunks,
-    parallel_map,
     plan_chunks,
     plan_task_chunks,
     resolve_jobs,
-    run_chunk_groups,
-    run_chunked,
-    run_task_chunks,
-    run_trials,
+    run_tasks,
 )
 from repro.experiments import registry
 from repro.experiments.runner import build_parser, run_experiments
 from repro.spec.config import SpecConfig
 
 
-def draw_sum(trial_index, rng):
-    """Picklable per-trial worker: a few draws folded into one float."""
-    return trial_index, float(np.sum(rng.random(5)))
+def draw_sum(chunk: TrialChunk, seed: int) -> list:
+    """Picklable per-trial worker: trial ``i`` draws from its own stream.
+
+    ``SeedSequence(seed, spawn_key=(i,))`` is the child ``spawn`` would
+    produce, so the results do not depend on the chunking.
+    """
+    results = []
+    for index in range(chunk.start, chunk.stop):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+        results.append((index, float(np.sum(rng.random(5)))))
+    return results
 
 
-def chunk_lengths(chunk: TrialChunk) -> list:
-    return [chunk.start + offset for offset in range(chunk.size)]
+def run_draw_sum(n_trials, seed, chunk_size, jobs=None):
+    return run_tasks(
+        draw_sum,
+        plan_chunks(n_trials, seed=seed, chunk_size=chunk_size),
+        jobs=jobs,
+        worker_args=(seed,),
+    )
 
 
 def square_chunk(chunk: TaskChunk, offset: int = 0) -> list:
@@ -82,14 +92,14 @@ class TestChunkPlanning:
 class TestChunkPlanningEdgeCases:
     def test_zero_trials_rejected(self):
         # A zero-trial run is an error, not an empty plan: every consumer
-        # (run_chunked, run_chunk_groups, the Monte-Carlo layers) validates
-        # its trial count before planning.
+        # (the Monte-Carlo layers, the feasibility sweep) plans its trials
+        # through plan_chunks, which validates the count.
         with pytest.raises(ValueError):
             plan_chunks(0, seed=3)
         with pytest.raises(ValueError):
-            run_chunked(lambda chunk: [], 0, seed=3)
+            run_tasks(lambda chunk: [], plan_chunks(0, seed=3))
         with pytest.raises(ValueError):
-            run_chunk_groups(lambda group: [], 0, seed=3)
+            run_tasks(lambda group: [], group_chunks(plan_chunks(0, seed=3), 4))
 
     def test_single_trial_chunks(self):
         chunks = plan_chunks(5, seed=1, chunk_size=1)
@@ -110,8 +120,8 @@ class TestChunkPlanningEdgeCases:
 
     def test_jobs_exceeding_trials(self):
         # More workers than trials must not duplicate or drop results.
-        few = run_trials(draw_sum, 3, seed=11, jobs=8, chunk_size=1)
-        serial = run_trials(draw_sum, 3, seed=11, jobs=1, chunk_size=1)
+        few = run_draw_sum(3, seed=11, chunk_size=1, jobs=8)
+        serial = run_draw_sum(3, seed=11, chunk_size=1, jobs=1)
         assert few == serial
         assert [index for index, _ in few] == [0, 1, 2]
 
@@ -123,6 +133,11 @@ def group_draw_worker(group):
         rng = chunk.rng()
         results.extend(float(value) for value in rng.random(chunk.size))
     return results
+
+
+def run_groups(n_trials, seed, chunk_size, batch, jobs=None, worker=group_draw_worker):
+    chunks = plan_chunks(n_trials, seed=seed, chunk_size=chunk_size)
+    return run_tasks(worker, group_chunks(chunks, batch), jobs=jobs)
 
 
 class TestChunkGrouping:
@@ -137,6 +152,14 @@ class TestChunkGrouping:
         for group in group_chunks(chunks, 20):
             assert sum(c.size for c in group) <= 20
 
+    def test_group_size_counts_its_trials(self):
+        chunks = plan_chunks(60, seed=0, chunk_size=8)
+        groups = group_chunks(chunks, 20)
+        assert [group.size for group in groups] == [
+            sum(c.size for c in group) for group in groups
+        ]
+        assert sum(group.size for group in groups) == 60
+
     def test_oversized_chunk_forms_its_own_group(self):
         chunks = plan_chunks(10, seed=0, chunk_size=10)
         groups = group_chunks(chunks, 3)
@@ -148,40 +171,27 @@ class TestChunkGrouping:
             group_chunks(chunks, 0)
 
 
-class TestRunChunkGroups:
+class TestRunTasksOverChunkGroups:
     def test_results_independent_of_batch(self):
-        baseline = run_chunk_groups(
-            group_draw_worker, 33, seed=9, chunk_size=5, batch=1
-        )
+        baseline = run_groups(33, seed=9, chunk_size=5, batch=1)
         assert len(baseline) == 33
-        for batch in (5, 12, 33, None):
-            assert (
-                run_chunk_groups(
-                    group_draw_worker, 33, seed=9, chunk_size=5, batch=batch
-                )
-                == baseline
-            )
+        for batch in (5, 12, 33, 100):
+            assert run_groups(33, seed=9, chunk_size=5, batch=batch) == baseline
 
     def test_results_independent_of_jobs(self):
-        serial = run_chunk_groups(
-            group_draw_worker, 24, seed=4, chunk_size=4, batch=8, jobs=1
-        )
-        parallel = run_chunk_groups(
-            group_draw_worker, 24, seed=4, chunk_size=4, batch=8, jobs=3
-        )
+        serial = run_groups(24, seed=4, chunk_size=4, batch=8, jobs=1)
+        parallel = run_groups(24, seed=4, chunk_size=4, batch=8, jobs=3)
         assert serial == parallel
 
-    def test_matches_per_chunk_runner_streams(self):
-        # The grouped runner must consume exactly the per-chunk streams of
-        # run_chunked: same plan, same seeds, same draws.
+    def test_matches_per_chunk_streams(self):
+        # Grouped units must consume exactly the per-chunk streams of
+        # ungrouped chunk units: same plan, same seeds, same draws.
         def chunk_worker(chunk):
             rng = chunk.rng()
             return [float(value) for value in rng.random(chunk.size)]
 
-        chunked = run_chunked(chunk_worker, 21, seed=6, chunk_size=4)
-        grouped = run_chunk_groups(
-            group_draw_worker, 21, seed=6, chunk_size=4, batch=16
-        )
+        chunked = run_tasks(chunk_worker, plan_chunks(21, seed=6, chunk_size=4))
+        grouped = run_groups(21, seed=6, chunk_size=4, batch=16)
         assert chunked == grouped
 
     def test_group_worker_must_return_one_result_per_trial(self):
@@ -189,22 +199,22 @@ class TestRunChunkGroups:
             return [0] * (sum(chunk.size for chunk in group) + 1)
 
         with pytest.raises(ValueError):
-            run_chunk_groups(bad_worker, 6, seed=0, chunk_size=2, batch=4)
+            run_groups(6, seed=0, chunk_size=2, batch=4, worker=bad_worker)
 
 
-class TestRunTrials:
+class TestRunTasksOverTrialChunks:
     def test_serial_equals_parallel(self):
-        serial = run_trials(draw_sum, 9, seed=42, jobs=1, chunk_size=3)
-        parallel = run_trials(draw_sum, 9, seed=42, jobs=3, chunk_size=3)
+        serial = run_draw_sum(9, seed=42, chunk_size=3, jobs=1)
+        parallel = run_draw_sum(9, seed=42, chunk_size=3, jobs=3)
         assert serial == parallel
 
     def test_results_ordered_by_trial(self):
-        results = run_trials(draw_sum, 6, seed=0, chunk_size=2)
+        results = run_draw_sum(6, seed=0, chunk_size=2)
         assert [index for index, _ in results] == list(range(6))
 
     def test_chunk_size_does_not_change_per_trial_streams(self):
-        coarse = run_trials(draw_sum, 8, seed=5, chunk_size=8)
-        fine = run_trials(draw_sum, 8, seed=5, chunk_size=1)
+        coarse = run_draw_sum(8, seed=5, chunk_size=8)
+        fine = run_draw_sum(8, seed=5, chunk_size=1)
         assert coarse == fine
 
     def test_chunk_worker_must_return_one_result_per_trial(self):
@@ -212,27 +222,34 @@ class TestRunTrials:
             return [0] * (chunk.size + 1)
 
         with pytest.raises(ValueError):
-            run_chunked(bad_worker, 4, seed=0, chunk_size=2)
-
-
-class TestParallelMap:
-    def test_order_preserved(self):
-        items = list(range(20))
-        assert parallel_map(square, items, jobs=1) == [i * i for i in items]
-
-    def test_parallel_matches_serial(self):
-        items = list(range(10))
-        assert parallel_map(square, items, jobs=2) == parallel_map(
-            square, items, jobs=1
-        )
+            run_tasks(bad_worker, plan_chunks(4, seed=0, chunk_size=2))
 
 
 def square(x):
     return x * x
 
 
+class TestPerTaskWorker:
+    def test_order_preserved(self):
+        items = list(range(20))
+        assert run_tasks(
+            PerTaskWorker(square), plan_task_chunks(items, chunk_size=1), jobs=1
+        ) == [i * i for i in items]
+
+    def test_parallel_matches_serial(self):
+        units = plan_task_chunks(list(range(10)), chunk_size=1)
+        assert run_tasks(PerTaskWorker(square), units, jobs=2) == run_tasks(
+            PerTaskWorker(square), units, jobs=1
+        )
+
+    def test_worker_args_follow_the_task(self):
+        assert run_tasks(
+            PerTaskWorker(pow), plan_task_chunks([2, 3], chunk_size=1), worker_args=(3,)
+        ) == [8, 27]
+
+
 class TestTaskChunks:
-    """The task-generic chunked runner behind the slot-sim sweep engine."""
+    """Task-description units, the form slot-sim sweeps dispatch."""
 
     def test_plan_covers_all_tasks_in_order(self):
         chunks = plan_task_chunks(list("abcdefg"), chunk_size=3)
@@ -245,7 +262,7 @@ class TestTaskChunks:
 
     def test_plan_of_no_tasks_is_empty(self):
         assert plan_task_chunks([]) == []
-        assert run_task_chunks(square_chunk, []) == []
+        assert run_tasks(square_chunk, []) == []
 
     def test_invalid_chunk_size(self):
         with pytest.raises(ValueError):
@@ -253,83 +270,83 @@ class TestTaskChunks:
 
     def test_results_in_task_order(self):
         tasks = list(range(11))
-        assert run_task_chunks(square_chunk, tasks, chunk_size=4) == [
+        assert run_tasks(square_chunk, plan_task_chunks(tasks, chunk_size=4)) == [
             t * t for t in tasks
         ]
 
     def test_jobs_and_chunk_size_invariant(self):
         tasks = list(range(10))
-        serial = run_task_chunks(square_chunk, tasks, jobs=1, chunk_size=4)
-        parallel = run_task_chunks(square_chunk, tasks, jobs=2, chunk_size=2)
-        fine = run_task_chunks(square_chunk, tasks, jobs=3, chunk_size=1)
+        serial = run_tasks(square_chunk, plan_task_chunks(tasks, 4), jobs=1)
+        parallel = run_tasks(square_chunk, plan_task_chunks(tasks, 2), jobs=2)
+        fine = run_tasks(square_chunk, plan_task_chunks(tasks, 1), jobs=3)
         assert serial == parallel == fine
 
     def test_worker_args_forwarded(self):
-        assert run_task_chunks(
-            square_chunk, [1, 2], chunk_size=1, worker_args=(10,)
+        assert run_tasks(
+            square_chunk, plan_task_chunks([1, 2], chunk_size=1), worker_args=(10,)
         ) == [11, 14]
 
     def test_result_count_validated(self):
         with pytest.raises(ValueError):
-            run_task_chunks(short_chunk, [1, 2, 3], chunk_size=3)
+            run_tasks(short_chunk, plan_task_chunks([1, 2, 3], chunk_size=3))
+
+    def test_result_count_validated_under_process_pool(self):
+        with pytest.raises(ValueError):
+            run_tasks(short_chunk, plan_task_chunks([1, 2, 3, 4], chunk_size=2), jobs=2)
 
 
 class TestObservableCancellableDispatch:
-    """The service-facing dispatch hooks: per-chunk observation + cancel."""
+    """The service-facing dispatch hooks: per-unit observation + cancel."""
 
-    def test_on_chunk_done_fires_in_plan_order(self):
+    def test_on_unit_done_fires_in_plan_order(self):
         observed = []
-        results = run_task_chunks(
+        results = run_tasks(
             square_chunk,
-            list(range(7)),
+            plan_task_chunks(list(range(7)), chunk_size=3),
             jobs=1,
-            chunk_size=3,
-            on_chunk_done=lambda chunk, rows: observed.append(
+            on_unit_done=lambda chunk, rows: observed.append(
                 (chunk.start, tuple(rows))
             ),
         )
         assert results == [t * t for t in range(7)]
         assert observed == [(0, (0, 1, 4)), (3, (9, 16, 25)), (6, (36,))]
 
-    def test_on_chunk_done_fires_under_process_pool(self):
+    def test_on_unit_done_fires_under_process_pool(self):
         observed = []
-        results = run_task_chunks(
+        results = run_tasks(
             square_chunk,
-            list(range(6)),
+            plan_task_chunks(list(range(6)), chunk_size=2),
             jobs=2,
-            chunk_size=2,
-            on_chunk_done=lambda chunk, rows: observed.append(chunk.start),
+            on_unit_done=lambda chunk, rows: observed.append(chunk.start),
         )
         assert results == [t * t for t in range(6)]
         assert observed == [0, 2, 4]
 
-    def test_cancel_raises_after_observed_chunks(self):
+    def test_cancel_raises_after_observed_units(self):
         observed = []
 
         def on_chunk(chunk, rows):
             observed.append(chunk.start)
 
         with pytest.raises(DispatchCancelled):
-            run_task_chunks(
+            run_tasks(
                 square_chunk,
-                list(range(6)),
+                plan_task_chunks(list(range(6)), chunk_size=2),
                 jobs=1,
-                chunk_size=2,
-                on_chunk_done=on_chunk,
+                on_unit_done=on_chunk,
                 cancel=lambda: len(observed) >= 2,
             )
-        # Chunks observed before the cancellation are final.
+        # Units observed before the cancellation are final.
         assert observed == [0, 2]
 
     def test_cancel_before_start_runs_nothing(self):
         observed = []
         with pytest.raises(DispatchCancelled):
-            run_task_chunks(
+            run_tasks(
                 square_chunk,
-                [1, 2],
+                plan_task_chunks([1, 2], chunk_size=1),
                 jobs=1,
-                chunk_size=1,
-                on_chunk_done=lambda chunk, rows: observed.append(chunk.start),
+                on_unit_done=lambda chunk, rows: observed.append(chunk.start),
                 cancel=lambda: True,
             )
         assert observed == []
@@ -337,25 +354,32 @@ class TestObservableCancellableDispatch:
     def test_cancel_under_process_pool(self):
         observed = []
         with pytest.raises(DispatchCancelled):
-            run_task_chunks(
+            run_tasks(
                 square_chunk,
-                list(range(8)),
+                plan_task_chunks(list(range(8)), chunk_size=2),
                 jobs=2,
-                chunk_size=2,
-                on_chunk_done=lambda chunk, rows: observed.append(chunk.start),
+                on_unit_done=lambda chunk, rows: observed.append(chunk.start),
                 cancel=lambda: len(observed) >= 1,
             )
         assert observed[0] == 0
 
-    def test_no_hooks_is_the_legacy_path(self):
-        tasks = list(range(9))
-        plain = run_task_chunks(square_chunk, tasks, jobs=1, chunk_size=4)
-        hooked = run_task_chunks(
+    def test_closed_form_grid_maps_are_cancellable(self):
+        with pytest.raises(DispatchCancelled):
+            run_tasks(
+                PerTaskWorker(square),
+                plan_task_chunks(list(range(4)), chunk_size=1),
+                jobs=2,
+                cancel=lambda: True,
+            )
+
+    def test_no_hooks_matches_hooked_dispatch(self):
+        units = plan_task_chunks(list(range(9)), chunk_size=4)
+        plain = run_tasks(square_chunk, units, jobs=1)
+        hooked = run_tasks(
             square_chunk,
-            tasks,
+            units,
             jobs=1,
-            chunk_size=4,
-            on_chunk_done=lambda chunk, rows: None,
+            on_unit_done=lambda chunk, rows: None,
             cancel=lambda: False,
         )
         assert plain == hooked

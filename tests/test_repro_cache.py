@@ -23,7 +23,7 @@ from repro.cache import (
     result_key,
 )
 from repro.experiments import registry
-from repro.experiments.runner import build_parser, run_experiments
+from repro.experiments.runner import build_parser, main, run_experiments
 
 
 @dataclasses.dataclass
@@ -313,6 +313,12 @@ class TestRunnerCacheWiring:
         assert first == second
         assert list(tmp_path.glob("*.json"))
 
-    def test_every_experiment_is_cacheable(self):
-        for experiment_id in registry.list_ids():
-            assert registry.get(experiment_id).cacheable
+    def test_list_footer_states_every_experiment_replays(self, capsys):
+        # Every experiment replays from --cache-dir, so --list states it
+        # once in its footer rather than marking each row.
+        assert main(["--list"]) == 0
+        listing = capsys.readouterr().out
+        rows, footer = listing.rstrip().rsplit("\n", 1)
+        assert all(experiment_id in rows for experiment_id in registry.list_ids())
+        assert "[cache]" not in rows
+        assert "Every experiment replays from --cache-dir." in footer

@@ -168,7 +168,7 @@ class TestExecutor:
         assert final.state == "done"
         assert final.progress == {"total": 2, "done": 2, "cached": 0}
         rows = final.result["trial_rows"]
-        plain = run_sweep(SWEEP_SCENARIO, 2, jobs=1)
+        plain = run_sweep([SWEEP_SCENARIO], 2, jobs=1)
         assert json.dumps(rows) == json.dumps(plain.rows())
 
     def test_experiment_job_shares_the_runner_cache_address(self, tmp_path):

@@ -19,9 +19,6 @@ from repro.sim.sweeps import (
     TRIAL_EXPERIMENT,
     ScenarioSpec,
     run_sweep,
-    run_sweep_cached,
-    run_sweep_grid,
-    run_sweep_resumable,
     summarize_trial,
     trial_cache_query,
 )
@@ -92,19 +89,19 @@ class TestJobsInvariance:
     N_TRIALS = 4
 
     def test_rows_byte_identical_across_jobs(self):
-        serial = run_sweep(BALANCING, self.N_TRIALS, jobs=1)
-        parallel = run_sweep(BALANCING, self.N_TRIALS, jobs=2, chunk_size=2)
+        serial = run_sweep([BALANCING], self.N_TRIALS, jobs=1)
+        parallel = run_sweep([BALANCING], self.N_TRIALS, jobs=2, chunk_size=2)
         assert rows_json(serial) == rows_json(parallel)
 
     def test_rows_byte_identical_across_chunk_sizes(self):
-        coarse = run_sweep(BALANCING, self.N_TRIALS, jobs=1, chunk_size=SWEEP_CHUNK_SIZE)
-        fine = run_sweep(BALANCING, self.N_TRIALS, jobs=1, chunk_size=1)
+        coarse = run_sweep([BALANCING], self.N_TRIALS, jobs=1, chunk_size=SWEEP_CHUNK_SIZE)
+        fine = run_sweep([BALANCING], self.N_TRIALS, jobs=1, chunk_size=1)
         assert rows_json(coarse) == rows_json(fine)
 
     def test_rows_byte_identical_on_python_backend(self):
         spec = BALANCING.with_overrides(backend="python")
-        serial = run_sweep(spec, 2, jobs=1)
-        parallel = run_sweep(spec, 2, jobs=2, chunk_size=1)
+        serial = run_sweep([spec], 2, jobs=1)
+        parallel = run_sweep([spec], 2, jobs=2, chunk_size=1)
         assert rows_json(serial) == rows_json(parallel)
 
     def test_grid_rows_in_spec_major_order(self):
@@ -112,7 +109,7 @@ class TestJobsInvariance:
             ScenarioSpec(builder="honest", kwargs={"n_validators": 8}, label="a"),
             ScenarioSpec(builder="honest", kwargs={"n_validators": 12}, label="b"),
         ]
-        result = run_sweep_grid(specs, 2, jobs=2, chunk_size=1)
+        result = run_sweep(specs, 2, jobs=2, chunk_size=1)
         assert [(row["scenario"], row["trial"]) for row in result.rows()] == [
             ("a", 0),
             ("a", 1),
@@ -123,22 +120,22 @@ class TestJobsInvariance:
         assert [spec["label"] for spec in result.specs] == ["a", "b"]
 
     def test_trials_are_seed_decorrelated_but_reproducible(self):
-        result = run_sweep(BALANCING, 3, jobs=1)
-        again = run_sweep(BALANCING, 3, jobs=1)
+        result = run_sweep([BALANCING], 3, jobs=1)
+        again = run_sweep([BALANCING], 3, jobs=1)
         assert rows_json(result) == rows_json(again)
         seeds = [row["seed"] for row in result.rows()]
         assert len(set(seeds)) == 3
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
-            run_sweep(BALANCING, 0)
+            run_sweep([BALANCING], 0)
         with pytest.raises(ValueError):
-            run_sweep_grid([], 2)
+            run_sweep([], 2)
 
 
 class TestSweepResult:
     def test_aggregate_reports_hold_statistics(self):
-        result = run_sweep(BALANCING, 2, jobs=1)
+        result = run_sweep([BALANCING], 2, jobs=1)
         (summary,) = result.aggregate()
         assert summary["scenario"] == BALANCING.name
         assert summary["n_trials"] == 2
@@ -151,26 +148,26 @@ class TestSweepResult:
             ScenarioSpec(builder="honest", kwargs={"n_validators": 8}, label="a"),
             ScenarioSpec(builder="honest", kwargs={"n_validators": 8}, label="b"),
         ]
-        result = run_sweep_grid(specs, 2, jobs=1)
+        result = run_sweep(specs, 2, jobs=1)
         assert len(result.rows_for("a")) == 2
         assert all(row["scenario"] == "a" for row in result.rows_for("a"))
 
 
 class TestCachedSweeps:
-    def test_cold_and_cached_rows_byte_identical(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cold, cold_hit = run_sweep_cached([BALANCING], 2, cache, jobs=1)
-        warm, warm_hit = run_sweep_cached([BALANCING], 2, cache, jobs=2, chunk_size=1)
-        assert not cold_hit and warm_hit
-        assert rows_json(cold) == rows_json(warm)
-        live = run_sweep(BALANCING, 2, jobs=1)
-        assert rows_json(cold) == rows_json(live)
-
-    def test_different_trial_count_misses(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        run_sweep_cached([BALANCING], 2, cache, jobs=1)
-        _, hit = run_sweep_cached([BALANCING], 3, cache, jobs=1)
-        assert not hit
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_uncached_cold_and_warm_rows_byte_identical(self, tmp_path, jobs):
+        specs = [BALANCING, BALANCING.with_overrides(sway_delay=0.0)]
+        n_trials = 2
+        live = run_sweep(specs, n_trials, jobs=jobs, chunk_size=1)
+        cold_cache = ResultCache(tmp_path)
+        cold = run_sweep(specs, n_trials, cold_cache, jobs=jobs, chunk_size=1)
+        assert cold_cache.stats.stores == n_trials * len(specs)
+        warm_cache = ResultCache(tmp_path)
+        warm = run_sweep(specs, n_trials, warm_cache, jobs=jobs, chunk_size=1)
+        assert warm_cache.stats.stores == 0
+        assert warm_cache.stats.hits == n_trials * len(specs)
+        assert rows_json(live) == rows_json(cold) == rows_json(warm)
+        assert live.specs == cold.specs == warm.specs
 
 
 class TestResumableSweeps:
@@ -180,16 +177,16 @@ class TestResumableSweeps:
 
     def test_rows_match_the_plain_sweep_byte_for_byte(self, tmp_path):
         cache = ResultCache(tmp_path)
-        resumable = run_sweep_resumable([self.SPEC], 3, cache, jobs=1)
-        plain = run_sweep(self.SPEC, 3, jobs=1)
+        resumable = run_sweep([self.SPEC], 3, cache, jobs=1)
+        plain = run_sweep([self.SPEC], 3, jobs=1)
         assert rows_json(resumable) == rows_json(plain)
         assert cache.stats.stores == 3
 
     def test_replay_computes_nothing(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cold = run_sweep_resumable([self.SPEC], 3, cache, jobs=1)
+        cold = run_sweep([self.SPEC], 3, cache, jobs=1)
         replay_cache = ResultCache(tmp_path)
-        warm = run_sweep_resumable([self.SPEC], 3, replay_cache, jobs=1)
+        warm = run_sweep([self.SPEC], 3, replay_cache, jobs=1)
         assert replay_cache.stats.stores == 0
         assert replay_cache.stats.hits == 3
         assert rows_json(cold) == rows_json(warm)
@@ -198,9 +195,9 @@ class TestResumableSweeps:
         # Trial keys never include n_trials: extending a sweep computes
         # only the new tail.
         cache = ResultCache(tmp_path)
-        small = run_sweep_resumable([self.SPEC], 2, cache, jobs=1)
+        small = run_sweep([self.SPEC], 2, cache, jobs=1)
         grow_cache = ResultCache(tmp_path)
-        grown = run_sweep_resumable([self.SPEC], 5, grow_cache, jobs=1)
+        grown = run_sweep([self.SPEC], 5, grow_cache, jobs=1)
         assert grow_cache.stats.stores == 3
         assert rows_json(grown)[1:-1].startswith(rows_json(small)[1:-1])
 
@@ -212,9 +209,9 @@ class TestResumableSweeps:
     def test_progress_streams_resume_point_then_chunks(self, tmp_path):
         cache = ResultCache(tmp_path)
         # Pre-store one trial, then watch the counters stream.
-        run_sweep_resumable([self.SPEC], 1, cache, jobs=1)
+        run_sweep([self.SPEC], 1, cache, jobs=1)
         events = []
-        run_sweep_resumable(
+        run_sweep(
             [self.SPEC],
             3,
             ResultCache(tmp_path),
@@ -227,7 +224,7 @@ class TestResumableSweeps:
     def test_cancel_persists_finished_chunks_then_resumes(self, tmp_path):
         cache = ResultCache(tmp_path)
         with pytest.raises(DispatchCancelled):
-            run_sweep_resumable(
+            run_sweep(
                 [self.SPEC],
                 4,
                 cache,
@@ -237,11 +234,11 @@ class TestResumableSweeps:
             )
         assert cache.stats.stores == 2
         resume_cache = ResultCache(tmp_path)
-        resumed = run_sweep_resumable([self.SPEC], 4, resume_cache, jobs=1)
+        resumed = run_sweep([self.SPEC], 4, resume_cache, jobs=1)
         # Only the missing half computed on resume...
         assert resume_cache.stats.stores == 2
         # ...and the result equals an uninterrupted run byte for byte.
-        uninterrupted = run_sweep_resumable([self.SPEC], 4, ResultCache(tmp_path / "fresh"), jobs=1)
+        uninterrupted = run_sweep([self.SPEC], 4, ResultCache(tmp_path / "fresh"), jobs=1)
         assert rows_json(resumed) == rows_json(uninterrupted)
 
     def test_grid_rows_in_spec_major_order(self, tmp_path):
@@ -250,28 +247,28 @@ class TestResumableSweeps:
             ScenarioSpec(builder="honest", kwargs={"n_validators": 12}, label="b"),
         ]
         cache = ResultCache(tmp_path)
-        result = run_sweep_resumable(specs, 2, cache, jobs=1)
+        result = run_sweep(specs, 2, cache, jobs=1)
         assert [(row["scenario"], row["trial"]) for row in result.rows()] == [
             ("a", 0),
             ("a", 1),
             ("b", 0),
             ("b", 1),
         ]
-        plain = run_sweep_grid(specs, 2, jobs=1)
+        plain = run_sweep(specs, 2, jobs=1)
         assert rows_json(result) == rows_json(plain)
 
     def test_trial_entries_live_under_the_trial_experiment_id(self, tmp_path):
         cache = ResultCache(tmp_path)
-        run_sweep_resumable([self.SPEC], 1, cache, jobs=1)
+        run_sweep([self.SPEC], 1, cache, jobs=1)
         config, seed = trial_cache_query(self.SPEC, 0)
         assert cache.fetch(TRIAL_EXPERIMENT, config, seed) is not None
 
     def test_invalid_arguments(self, tmp_path):
         cache = ResultCache(tmp_path)
         with pytest.raises(ValueError):
-            run_sweep_resumable([self.SPEC], 0, cache)
+            run_sweep([self.SPEC], 0, cache)
         with pytest.raises(ValueError):
-            run_sweep_resumable([], 2, cache)
+            run_sweep([], 2, cache)
 
 
 class TestSpecCanonicalRoundTrip:
@@ -343,4 +340,3 @@ class TestBalancingDurationExperiment:
         assert "n_trials" in accepted
         assert "backend" in accepted
         assert experiment.parallelizable
-        assert experiment.cacheable
