@@ -36,6 +36,7 @@ import time
 
 import pytest
 
+from repro.sim.node import INCLUSION_HORIZON_EPOCHS
 from repro.sim.scenarios import (
     build_balancing_attack_simulation,
     build_honest_simulation,
@@ -195,9 +196,7 @@ def test_balancing_at_mainnet_scale_completes_in_seconds():
     # Satellite: the inclusion horizon bounds the per-view attestation
     # backlog even at mainnet committee sizes.
     for view in engine.views.values():
-        horizon = view.inclusion_horizon_epochs
-        assert horizon is not None
-        assert len(view.attestations_by_epoch) <= horizon + 1
+        assert len(view.attestations_by_epoch) <= INCLUSION_HORIZON_EPOCHS + 1
     _record(
         "balancing_mainnet_10k",
         {

@@ -28,14 +28,7 @@ from repro.core.backend import (
     leak_mask,
 )
 from repro.core.attestation_batch import AttestationBatch, AttestationColumns
-from repro.core.ffg import (
-    BatchedFinalityTracker,
-    FinalityTracker,
-    FlatVotePool,
-    RatioFinality,
-    finality_from_ratios,
-    justified_at,
-)
+from repro.core.ffg import FinalityTracker, FlatVotePool, justified_at
 from repro.core.stake_engine import BatchedStakeEngine, StakeEngine
 from repro.core.trials import (
     DEFAULT_CHUNK_SIZE,
@@ -51,7 +44,6 @@ from repro.core.trials import (
 __all__ = [
     "AttestationBatch",
     "AttestationColumns",
-    "BatchedFinalityTracker",
     "BatchedStakeEngine",
     "DEFAULT_CHUNK_SIZE",
     "EpochOutcome",
@@ -62,7 +54,6 @@ __all__ = [
     "FlatVotePool",
     "NumpyBackend",
     "PythonBackend",
-    "RatioFinality",
     "RewardOutcome",
     "RewardRules",
     "SlashingEpochOutcome",
@@ -73,7 +64,6 @@ __all__ = [
     "TaskChunk",
     "TrialChunk",
     "available_backends",
-    "finality_from_ratios",
     "get_backend",
     "group_chunks",
     "justified_at",

@@ -19,11 +19,8 @@ to dense integer ids so the kernels work on pure integer arrays.
 :class:`FinalityTracker` (moved here from ``repro.core.stake_engine``,
 which re-exports it) is the *streaming* form of the branch-level
 justification rule the paper analyses — one active-stake ratio per epoch,
-two consecutive justified epochs finalize — and
-:func:`finality_from_ratios` is its vectorized counterpart, evaluating
-whole ``(trials, epochs)`` ratio matrices in one shot.  Both delegate the
-threshold test to :func:`justified_at` so they agree by construction
-(asserted by ``tests/test_core_ffg.py``).
+two consecutive justified epochs finalize — with the threshold test in
+:func:`justified_at`.
 """
 
 from __future__ import annotations
@@ -397,53 +394,6 @@ def justified_at(active_ratio: float, supermajority: float) -> bool:
 
 
 @dataclass
-class RatioFinality:
-    """Vectorized finality read off a trajectory of active-stake ratios."""
-
-    #: Per-epoch justification mask, shape ``(..., epochs)``.
-    justified: np.ndarray
-    #: First justified epoch index per trajectory (``-1`` if never).
-    threshold_epoch: np.ndarray
-    #: First finalization epoch index per trajectory (``-1`` if never) —
-    #: the second of the first pair of consecutive justified epochs.
-    finalization_epoch: np.ndarray
-
-
-def finality_from_ratios(
-    active_ratios: Sequence[float], supermajority: float
-) -> RatioFinality:
-    """Evaluate the consecutive-justification rule over whole ratio arrays.
-
-    ``active_ratios`` may have any shape with epochs on the last axis
-    (the Monte-Carlo layers batch ``(trials, epochs)`` matrices).  Epoch
-    numbers are positional (0-based); feeding the same ratios one by one
-    through :meth:`FinalityTracker.observe` with epochs ``0..T-1`` yields
-    identical threshold and finalization epochs.
-    """
-    ratios = np.asarray(active_ratios, dtype=float)
-    if ratios.ndim == 0:
-        raise ValueError("active_ratios must have an epoch axis")
-    justified = ratios >= supermajority
-
-    def first_true(mask: np.ndarray) -> np.ndarray:
-        if mask.shape[-1] == 0:
-            return np.full(mask.shape[:-1], -1, dtype=np.int64)
-        found = mask.any(axis=-1)
-        index = mask.argmax(axis=-1)
-        return np.where(found, index, -1).astype(np.int64)
-
-    consecutive = justified[..., 1:] & justified[..., :-1]
-    first_consecutive = first_true(consecutive)
-    return RatioFinality(
-        justified=justified,
-        threshold_epoch=first_true(justified),
-        finalization_epoch=np.where(
-            first_consecutive >= 0, first_consecutive + 1, -1
-        ).astype(np.int64),
-    )
-
-
-@dataclass
 class FinalityTracker:
     """Justification/finalization bookkeeping of one simulated branch.
 
@@ -451,8 +401,7 @@ class FinalityTracker:
     the active-stake ratio reaches the supermajority (the
     :func:`justified_at` test), and two consecutive justified epochs
     finalize (the first of the pair, reported at the second).  Tracks the
-    first threshold crossing and the first finalization.  This is the
-    streaming counterpart of :func:`finality_from_ratios`.
+    first threshold crossing and the first finalization.
     """
 
     supermajority: float
@@ -481,55 +430,4 @@ class FinalityTracker:
             self.finalization_epoch = epoch
         self.previous_justified = justified
         self.previous_active_ratio = active_ratio
-        return justified, finalized_now
-
-
-class BatchedFinalityTracker:
-    """:class:`FinalityTracker` over a whole batch of trials at once.
-
-    Holds the streaming justification/finalization state of ``trials``
-    independent branches as flat arrays and consumes one ``(trials,)``
-    ratio vector per epoch.  Element ``t`` evolves exactly like a scalar
-    :class:`FinalityTracker` fed trial ``t``'s ratios (asserted by the
-    core FFG tests); epochs never observed report ``-1`` instead of
-    ``None`` so the state stays a fixed-dtype array.
-    """
-
-    def __init__(self, supermajority: float, trials: int) -> None:
-        if trials < 0:
-            raise ValueError("trials must be non-negative")
-        self.supermajority = supermajority
-        self.trials = trials
-        self.threshold_epoch = np.full(trials, -1, dtype=np.int64)
-        self.finalization_epoch = np.full(trials, -1, dtype=np.int64)
-        self.finalized = np.zeros(trials, dtype=bool)
-        self.previous_justified = np.zeros(trials, dtype=bool)
-        self.previous_active_ratio = np.zeros(trials, dtype=float)
-
-    @classmethod
-    def for_config(
-        cls, trials: int, config: "Optional[SpecConfig]" = None
-    ) -> "BatchedFinalityTracker":
-        from repro.spec.config import SpecConfig
-
-        cfg = config or SpecConfig.mainnet()
-        return cls(supermajority=cfg.supermajority_fraction, trials=trials)
-
-    def observe(
-        self, epoch: int, active_ratios: Sequence[float]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Record one epoch's ratios; returns ``(justified, finalized_now)`` masks."""
-        ratios = np.asarray(active_ratios, dtype=float)
-        if ratios.shape != (self.trials,):
-            raise ValueError(
-                f"expected ({self.trials},) active ratios, got shape {ratios.shape}"
-            )
-        justified = ratios >= self.supermajority
-        crossed = justified & (self.threshold_epoch < 0)
-        self.threshold_epoch[crossed] = epoch
-        finalized_now = justified & self.previous_justified & ~self.finalized
-        self.finalization_epoch[finalized_now] = epoch
-        self.finalized |= finalized_now
-        self.previous_justified = justified
-        self.previous_active_ratio = ratios
         return justified, finalized_now

@@ -32,10 +32,9 @@ from repro.core.backend import (
     get_backend,
 )
 from repro.core.backend import LeakFlag
-from repro.core.ffg import BatchedFinalityTracker, FinalityTracker
+from repro.core.ffg import FinalityTracker
 
 __all__ = [
-    "BatchedFinalityTracker",
     "BatchedStakeEngine",
     "FinalityTracker",
     "StakeEngine",

@@ -338,6 +338,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if not experiment_ids:
         parser.print_help()
         return 1
+    known = set(registry.list_ids())
+    unknown = [i for i in experiment_ids if i not in known]
+    if unknown:
+        parser.error(
+            f"unknown experiment ids {unknown}; see --list for the known ones"
+        )
 
     formats = ("json", "csv") if args.format == "both" else (args.format,)
     cache = ResultCache(args.cache_dir) if args.cache_dir is not None else None

@@ -76,10 +76,10 @@ class Adversary:
         """Invalidate every cache derived from the endpoint mapping.
 
         Must be called whenever validator → endpoint assignments change:
-        resolver (re)installation, view-group splits and merges, and any
+        resolver (re)installation, view-group splits, and any
         post-construction mutation of the partition map all route through
-        here.  Stale audiences would silently deliver to endpoints that
-        no longer exist (or miss freshly split ones).
+        here.  Stale audiences would silently address outdated endpoints
+        (or miss freshly split ones).
         """
         self._audience_cache.clear()
 

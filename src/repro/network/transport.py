@@ -20,8 +20,8 @@ what makes view groups provably share a message stream.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -279,7 +279,7 @@ class Network:
                 )
 
     # ------------------------------------------------------------------
-    # Endpoint lifecycle (dynamic view splits/merges)
+    # Endpoint lifecycle (dynamic view splits)
     # ------------------------------------------------------------------
     def split_endpoint(self, old: int, new: int) -> None:
         """Register ``new`` as a participant whose view just forked off ``old``.
@@ -307,37 +307,6 @@ class Network:
             )
         for message, recipient in [w for w in self._withheld if w[1] == old]:
             self._withheld.append((message, new))
-
-    def deregister_endpoint(self, endpoint: int) -> None:
-        """Forget ``endpoint`` after its view group merged into another.
-
-        In-flight deliveries addressed to it are left in the queue; the
-        engine drops deliveries whose endpoint no longer resolves to a
-        view (the merge legality check guarantees the surviving endpoint
-        carries an identical stream).
-        """
-        self.participants.remove(endpoint)
-
-    def pending_for(self, endpoint: int) -> List[Tuple[float, int]]:
-        """In-flight ``(deliver_at, message_id)`` stream of one endpoint, sorted.
-
-        Used by the engine's merge check: two view groups may only fuse
-        when — besides equal node state — their future message streams
-        are identical.
-        """
-        return sorted(
-            (delivery.deliver_at, delivery.message.message_id)
-            for delivery in self._queue
-            if delivery.recipient == endpoint
-        )
-
-    def withheld_for(self, endpoint: int) -> List[int]:
-        """Withheld message ids addressed to ``endpoint``, in withhold order."""
-        return [
-            message.message_id
-            for message, recipient in self._withheld
-            if recipient == endpoint
-        ]
 
     # ------------------------------------------------------------------
     # Receiving

@@ -89,18 +89,21 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         )
     else:
         kwargs = _parse_kv(args.scenario_arg, "--scenario-arg")
-        if args.preset is not None:
-            scenario = ScenarioSpec.from_preset(
-                args.preset, epochs=args.epochs, seed=args.seed, **kwargs
-            )
-        else:
-            scenario = ScenarioSpec(
-                builder=args.builder,
-                kwargs=kwargs,
-                epochs=args.epochs,
-                seed=args.seed,
-                label=args.label,
-            )
+        try:
+            if args.preset is not None:
+                scenario = ScenarioSpec.from_preset(
+                    args.preset, epochs=args.epochs, seed=args.seed, **kwargs
+                )
+            else:
+                scenario = ScenarioSpec(
+                    builder=args.builder,
+                    kwargs=kwargs,
+                    epochs=args.epochs,
+                    seed=args.seed,
+                    label=args.label,
+                )
+        except ValueError as exc:
+            raise SystemExit(str(exc)) from None
         spec = {
             "specs": [scenario.canonical()],
             "n_trials": args.trials,

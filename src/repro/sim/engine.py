@@ -31,10 +31,10 @@ audience partially covers is copy-on-write split at send time
 (:meth:`SimulationEngine._ensure_exact_audience`): the covered members
 fork off with a full ``Node.split_clone`` under a fresh endpoint, and
 in-flight traffic to the old endpoint is duplicated so both children see
-the same past.  With ``merge_views=True``, groups whose state
-fingerprints and in-flight streams re-converge are fused back at epoch
-starts.  Per-slot cost stays O(live groups): a balancing attack at 10k
-validators runs with ~3 groups, not 10k nodes.
+the same past.  Groups never re-merge: the topology only grows by splits,
+so every endpoint stays live for the whole run.  Per-slot cost stays
+O(live groups): a balancing attack at 10k validators runs with ~3 groups,
+not 10k nodes.
 
 **Batch-native message flow.**  Honest committee members of one view are
 clustered per slot and their identical votes travel as a single
@@ -98,12 +98,9 @@ class SimulationEngine:
         schedule: Optional[PartitionSchedule] = None,
         config: Optional[SpecConfig] = None,
         seed: str = "repro",
-        release_withheld_at_epoch_start: bool = True,
         observers: Optional[Sequence["EngineObserver"]] = None,
         view_sharding: bool = True,
         backend: str = "numpy",
-        merge_views: bool = False,
-        inclusion_horizon_epochs: Optional[int] = 2,
         latency_model: Union[None, str, LatencyModel] = None,
         latency_seed: int = 0,
     ) -> None:
@@ -117,13 +114,6 @@ class SimulationEngine:
         self.scheduler = DutyScheduler(config=self.config, seed=seed)
         self.view_sharding = view_sharding
         self.backend = backend
-        #: Re-fuse view groups whose states and in-flight streams have
-        #: re-converged (checked at epoch starts).  Off by default: merging
-        #: is pure optimisation and the fingerprint comparison costs more
-        #: than it saves for scenarios that never re-converge.
-        self.merge_views = merge_views
-        self.inclusion_horizon_epochs = inclusion_horizon_epochs
-        self.release_withheld_at_epoch_start = release_withheld_at_epoch_start
         self.observers: List[EngineObserver] = list(observers or [])
         self._partition_names: Tuple[str, ...] = tuple(self.schedule.partition_names())
         # Global observer tree: every published block, regardless of which
@@ -144,15 +134,9 @@ class SimulationEngine:
                 config=self.config,
                 backend=backend,
                 members=members,
-                inclusion_horizon_epochs=inclusion_horizon_epochs,
             )
             for name, members in self.view_groups.items()
         }
-        #: Origin class of each live group: split children inherit their
-        #: parent's class, and only groups of the same class are merge
-        #: candidates (groups born from different reachability classes
-        #: have different future delay behaviour even with equal state).
-        self._class_of: Dict[str, str] = {name: name for name in self.view_groups}
         self.group_of: Dict[int, str] = {
             index: name
             for name, members in self.view_groups.items()
@@ -205,9 +189,8 @@ class SimulationEngine:
         self.adversary.set_endpoint_resolver(self._endpoint_of.__getitem__)
         self.adversary.set_split_hook(self._ensure_exact_audience)
 
-        #: Timeline of dynamic view splits/merges, in occurrence order.
+        #: Timeline of dynamic view splits, in occurrence order.
         self.view_events: List[ViewEvent] = []
-        self._peak_views = len(self.views)
         self._current_slot = 0
         self._current_time = 0.0
 
@@ -282,7 +265,7 @@ class SimulationEngine:
         return groups
 
     # ------------------------------------------------------------------
-    # Dynamic view splitting / merging
+    # Dynamic view splitting
     # ------------------------------------------------------------------
     def _ensure_exact_audience(self, recipients: Tuple[int, ...]) -> Tuple[int, ...]:
         """Endpoints covering exactly ``recipients``, splitting groups as needed.
@@ -346,7 +329,6 @@ class SimulationEngine:
         self.view_groups[name] = stay
         self.view_groups[child_name] = move
         self.views[child_name] = clone
-        self._class_of[child_name] = self._class_of[name]
         for index in move:
             self.group_of[index] = child_name
             self.nodes[index] = clone.for_member(index)
@@ -366,91 +348,7 @@ class SimulationEngine:
                 members=move,
             )
         )
-        self._peak_views = max(self._peak_views, len(self.views))
         return child_name
-
-    def _try_merges(self) -> None:
-        """Re-fuse view groups whose observable futures have re-converged.
-
-        Two groups of the same origin class may merge when their nodes'
-        state fingerprints are equal *and* their endpoints' in-flight and
-        withheld message streams are identical — the exact converse of
-        the split condition, so the grouped==per-node contract is
-        untouched (per-node runs never merge: singleton groups of
-        distinct validators never share a class).  Runs at epoch starts
-        only; fingerprints are computed once per group per attempt.
-        """
-        by_class: Dict[str, List[str]] = {}
-        for group_name in self.view_groups:
-            by_class.setdefault(self._class_of[group_name], []).append(group_name)
-        fingerprints: Dict[str, Tuple] = {}
-        for names in by_class.values():
-            if len(names) < 2:
-                continue
-            # Lowest representative first: the survivor of every merge is
-            # the lower-endpoint node, preserving the rep = min(members)
-            # convention transitively.
-            names.sort(key=lambda n: self.views[n].validator_index)
-            survivors: List[str] = []
-            for candidate in names:
-                merged = False
-                for keeper in survivors:
-                    if self._can_merge(keeper, candidate, fingerprints):
-                        self._merge_groups(keeper, candidate)
-                        merged = True
-                        break
-                if not merged:
-                    survivors.append(candidate)
-
-    def _can_merge(
-        self, keep_name: str, drop_name: str, fingerprints: Dict[str, Tuple]
-    ) -> bool:
-        keep, drop = self.views[keep_name], self.views[drop_name]
-        if self.network.pending_for(keep.validator_index) != self.network.pending_for(
-            drop.validator_index
-        ):
-            return False
-        if self.network.withheld_for(keep.validator_index) != self.network.withheld_for(
-            drop.validator_index
-        ):
-            return False
-        for name, view in ((keep_name, keep), (drop_name, drop)):
-            if name not in fingerprints:
-                fingerprints[name] = view.state_fingerprint()
-        return fingerprints[keep_name] == fingerprints[drop_name]
-
-    def _merge_groups(self, keep_name: str, drop_name: str) -> None:
-        """Absorb ``drop_name`` into ``keep_name`` (caller checked legality)."""
-        keep, drop = self.views[keep_name], self.views[drop_name]
-        drop_rep = drop.validator_index
-        moved = drop.members
-        keep.absorb_members(drop)
-        self.view_groups[keep_name] = keep.members
-        del self.view_groups[drop_name]
-        del self.views[drop_name]
-        del self._class_of[drop_name]
-        for index in moved:
-            self.group_of[index] = keep_name
-            self.nodes[index] = keep.for_member(index)
-            self._endpoint_of[index] = keep.validator_index
-        del self._view_by_endpoint[drop_rep]
-        self._endpoints = tuple(sorted(self._view_by_endpoint))
-        # In-flight duplicates addressed to the dead endpoint are dropped
-        # by _deliver_due (the stream equality check guarantees the
-        # surviving endpoint carries identical copies).
-        self.network.deregister_endpoint(drop_rep)
-        self.adversary.notify_topology_changed()
-        self._refresh_honest_views()
-        self.view_events.append(
-            ViewEvent(
-                slot=self._current_slot,
-                time=self._current_time,
-                kind="merge",
-                parent=keep_name,
-                child=drop_name,
-                members=moved,
-            )
-        )
 
     def _refresh_honest_views(self) -> None:
         self._honest_views = [
@@ -499,9 +397,7 @@ class SimulationEngine:
 
     def _deliver_due(self, time: float) -> None:
         for delivery in self.network.deliveries_until(time):
-            view = self._view_by_endpoint.get(delivery.recipient)
-            if view is not None:
-                view.receive(delivery.message)
+            self._view_by_endpoint[delivery.recipient].receive(delivery.message)
 
     # ------------------------------------------------------------------
     # Publishing
@@ -709,10 +605,8 @@ class SimulationEngine:
                     snapshots.append(self._snapshot(epoch - 1))
                     for observer in self.observers:
                         observer(self, epoch - 1)
-                if self.release_withheld_at_epoch_start and self.network.withheld_count():
+                if self.network.withheld_count():
                     self.adversary.release_all(slot_start)
-                if self.merge_views:
-                    self._try_merges()
                 for index, agent in self.agents.items():
                     agent.on_epoch_start(self._context_for(index, slot, slot_start))
 
@@ -753,5 +647,5 @@ class SimulationEngine:
             slashed_indices=slashed,
             view_groups=dict(self.view_groups),
             view_events=list(self.view_events),
-            peak_view_count=self._peak_views,
+            peak_view_count=len(self.views),
         )

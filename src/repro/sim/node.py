@@ -54,6 +54,12 @@ from repro.spec.validator import Validator
 #: Entries the network can hand to a node's attestation path.
 AttestationLike = Union[Attestation, AttestationBatch]
 
+#: Attestations whose target epoch has fallen more than this many epochs
+#: behind the processed epoch are dropped from the inclusion log and the
+#: per-epoch vote columns — real clients only accept attestations within
+#: about an epoch, so unincluded stale votes must not accumulate forever.
+INCLUSION_HORIZON_EPOCHS = 2
+
 
 @dataclass
 class PendingQueues:
@@ -73,7 +79,6 @@ class Node:
         config: Optional[SpecConfig] = None,
         backend: Union[str, StakeBackend] = "numpy",
         members: Optional[Sequence[int]] = None,
-        inclusion_horizon_epochs: Optional[int] = 2,
     ) -> None:
         self.validator_index = validator_index
         #: Validators sharing this view (representative first by convention).
@@ -81,13 +86,6 @@ class Node:
             tuple(members) if members is not None else (validator_index,)
         )
         self.config = config or SpecConfig.mainnet()
-        #: Attestations whose target epoch has fallen more than this many
-        #: epochs behind the processed epoch are dropped from the
-        #: inclusion log and the per-epoch vote columns — real clients
-        #: only accept attestations within about an epoch, so unincluded
-        #: stale votes must not accumulate forever.  ``None`` disables
-        #: the horizon (the pre-PR-7 unbounded behaviour).
-        self.inclusion_horizon_epochs = inclusion_horizon_epochs
         #: Stake-dynamics kernel driving this node's epoch processing
         #: (FFG justification, rewards, inactivity and slashing all run
         #: array-native on it).
@@ -171,7 +169,7 @@ class Node:
         return MemberView(self, validator_index)
 
     # ------------------------------------------------------------------
-    # View lifecycle: copy-on-write splits and fingerprint merges
+    # View lifecycle: copy-on-write splits
     # ------------------------------------------------------------------
     def split_clone(self, members: Sequence[int], validator_index: int) -> "Node":
         """An independent deep copy of this view for a child group.
@@ -189,7 +187,6 @@ class Node:
         clone.validator_index = validator_index
         clone.members = tuple(members)
         clone.config = self.config
-        clone.inclusion_horizon_epochs = self.inclusion_horizon_epochs
         clone.backend = self.backend
         clone.state = self.state.fork()
         clone.store = self.store.clone()
@@ -251,108 +248,6 @@ class Node:
             for index, cursor in self._evidence_cursors.items()
             if index in member_set
         }
-
-    def absorb_members(self, other: "Node") -> None:
-        """Adopt ``other``'s members after a fingerprint-equal merge.
-
-        Caller guarantees ``state_fingerprint()`` equality, so the logs
-        are element-wise identical and ``other``'s cursors transplant
-        verbatim.
-        """
-        self._inclusion_cursors.update(
-            (index, other._inclusion_cursors.get(index, 0)) for index in other.members
-        )
-        self._evidence_cursors.update(
-            (index, other._evidence_cursors.get(index, 0)) for index in other.members
-        )
-        self.members = tuple(sorted(set(self.members) | set(other.members)))
-
-    def state_fingerprint(self) -> Tuple:
-        """A content-based summary of everything that drives future behaviour.
-
-        Two views with equal fingerprints react identically to any future
-        common message stream, so the engine may merge their groups (the
-        exact converse of the split legality argument).  Deliberately
-        strict — interner-dependent ids are mapped back to root keys, and
-        row order is included because scan order breaks ties.
-        """
-        store = self.store
-        state = self.state
-        flat = self.pool.flat
-        pool_rows = []
-        for epoch in sorted(flat.epochs()):
-            arrays = flat.vote_arrays(epoch)
-            if arrays is None:
-                continue
-            validators, source_epochs, source_roots, target_roots = arrays
-            pool_rows.append(
-                (
-                    epoch,
-                    tuple(
-                        (int(v), int(se), flat.root_of(int(sr)), flat.root_of(int(tr)))
-                        for v, se, sr, tr in zip(
-                            validators, source_epochs, source_roots, target_roots
-                        )
-                    ),
-                )
-            )
-        column_rows = []
-        for epoch in sorted(self.attestations_by_epoch):
-            validators, source_epochs, source_roots, target_roots = (
-                self.attestations_by_epoch[epoch].arrays()
-            )
-            column_rows.append(
-                (
-                    epoch,
-                    tuple(
-                        (int(v), int(se), flat.root_of(int(sr)), flat.root_of(int(tr)))
-                        for v, se, sr, tr in zip(
-                            validators, source_epochs, source_roots, target_roots
-                        )
-                    ),
-                )
-            )
-        latest = store.latest_messages
-        return (
-            frozenset(block.root for block in store.tree.blocks()),
-            tuple(
-                (index, message.epoch, message.root)
-                for index, message in sorted(latest.items())
-            ),
-            store.justified_checkpoint,
-            store.finalized_checkpoint,
-            tuple(sorted(store.checkpoint_roots.items())),
-            tuple(
-                (v.index, v.stake, v.inactivity_score, v.slashed, v.exit_epoch)
-                for v in state.validators
-            ),
-            state.current_epoch,
-            state.current_justified_checkpoint,
-            state.previous_justified_checkpoint,
-            state.finalized_checkpoint,
-            frozenset(state.justified_epochs),
-            tuple(sorted(state.justified_checkpoints.items())),
-            tuple(sorted(state.finalized_checkpoints.items())),
-            state.last_finalized_epoch,
-            tuple(pool_rows),
-            tuple(column_rows),
-            tuple(self._inclusion_log),
-            tuple(self._evidence_log),
-            tuple(
-                (epoch, frozenset(indices))
-                for epoch, indices in sorted(self.slashings_observed.items())
-                if indices
-            ),
-            tuple(
-                (index, tuple((a.ffg, a.head_root) for a in seen))
-                for index, seen in sorted(self.detector._seen.items())
-                if seen
-            ),
-            tuple(sorted(self.detector._evidence)),
-            tuple(self.pending.blocks),
-            tuple(self.pending.attestations),
-            self._justified_stakes.tobytes(),
-        )
 
     def inclusion_view(self, validator_index: int) -> List[Attestation]:
         """Attestations ``validator_index`` has seen but not yet included."""
@@ -731,7 +626,7 @@ class Node:
         """Expire attestations older than the inclusion horizon.
 
         After processing ``epoch``, attestations whose target epoch is
-        ``<= epoch - inclusion_horizon_epochs`` can no longer influence
+        ``<= epoch - INCLUSION_HORIZON_EPOCHS`` can no longer influence
         anything: their FFG epoch is settled, their fork-choice votes are
         superseded, and real clients would refuse to include them.  They
         are dropped from the inclusion log — *even if some member never
@@ -745,9 +640,7 @@ class Node:
         the rule depends only on shared view state, so grouped and
         per-node engines prune identically.
         """
-        if self.inclusion_horizon_epochs is None:
-            return
-        cutoff = epoch - self.inclusion_horizon_epochs + 1
+        cutoff = epoch - INCLUSION_HORIZON_EPOCHS + 1
         for target_epoch in [
             e for e in self.attestations_by_epoch if e < cutoff
         ]:

@@ -26,9 +26,9 @@ def _dedup_by_identity(states: Sequence[BeaconState]) -> List[BeaconState]:
 class ViewEvent:
     """One change in the engine's view-group topology.
 
-    ``kind`` is ``"split"`` (``parent`` forked off the child group holding
-    ``members``) or ``"merge"`` (the child group ``child`` was absorbed
-    back into ``parent``; ``members`` are the validators that moved).
+    ``kind`` is ``"split"``: ``parent`` forked off the child group
+    ``child`` holding ``members``.  Groups never merge, so splits are the
+    only kind the engine records.
     """
 
     slot: int
@@ -73,21 +73,17 @@ class SimulationResult:
     #: validator indices); one singleton group per validator when view
     #: sharding was off.
     view_groups: Dict[str, Tuple[int, ...]] = field(default_factory=dict)
-    #: Timeline of dynamic view-topology changes (splits and merges), in
-    #: occurrence order.  Empty for per-node runs (singleton groups never
+    #: Timeline of dynamic view splits, in occurrence order.  Empty for per-node runs (singleton groups never
     #: split) and for runs whose message streams never diverge.
     view_events: List[ViewEvent] = field(default_factory=list)
     #: Largest number of simultaneously live view groups during the run.
+    #: Groups only split, so this is the number live at the end.
     peak_view_count: int = 0
 
     # ------------------------------------------------------------------
     def split_events(self) -> List[ViewEvent]:
         """The split events of the view timeline."""
         return [event for event in self.view_events if event.kind == "split"]
-
-    def merge_events(self) -> List[ViewEvent]:
-        """The merge events of the view timeline."""
-        return [event for event in self.view_events if event.kind == "merge"]
 
     # ------------------------------------------------------------------
     def honest_states(self) -> List[BeaconState]:

@@ -49,15 +49,12 @@ def build_honest_simulation(
     seed: str = "repro",
     view_sharding: bool = True,
     backend: str = "numpy",
-    merge_views: bool = False,
     latency_model: LatencySpec = None,
     latency_seed: int = 0,
 ) -> SimulationEngine:
     """A healthy network: all honest validators, no partition.
 
     This is the Liveness baseline: the finalized chain grows every epoch.
-    ``merge_views`` re-fuses equal views at epoch starts — relevant here
-    when a wide latency model fragments the single honest view.
     """
     cfg = config or SpecConfig.minimal()
     registry = make_registry(n_validators, cfg)
@@ -73,7 +70,6 @@ def build_honest_simulation(
         seed=seed,
         view_sharding=view_sharding,
         backend=backend,
-        merge_views=merge_views,
         latency_model=latency_model,
         latency_seed=latency_seed,
     )
@@ -214,7 +210,6 @@ def build_balancing_attack_simulation(
     sway_delay: float = 0.0,
     view_sharding: bool = True,
     backend: str = "numpy",
-    merge_views: bool = False,
     max_attempts: int = 256,
     latency_model: LatencySpec = None,
     latency_seed: int = 0,
@@ -286,7 +281,6 @@ def build_balancing_attack_simulation(
         seed=duty_seed,
         view_sharding=view_sharding,
         backend=backend,
-        merge_views=merge_views,
         latency_model=latency_model,
         latency_seed=latency_seed,
     )

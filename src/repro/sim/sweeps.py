@@ -29,6 +29,7 @@ execution layer:
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -60,7 +61,8 @@ class ScenarioSpec:
     ``builder`` names a scenario builder (a key of
     ``repro.sim.scenarios._PRESET_BUILDERS`` — ``"honest"``,
     ``"offline"``, ``"partitioned"``, ``"balancing"``,
-    ``"behavior-mix"``); ``kwargs`` are its keyword arguments.  Keep
+    ``"behavior-mix"``); ``kwargs`` are its keyword arguments, and a name
+    the builder does not accept is rejected at construction.  Keep
     ``kwargs`` declarative — numbers, strings, ``SpecConfig`` instances,
     latency-model *names* — so the spec pickles cheaply and canonicalises
     stably for cache keys.  Use :meth:`from_preset` to start from a
@@ -85,6 +87,13 @@ class ScenarioSpec:
             raise ValueError(
                 f"unknown scenario builder {self.builder!r}; "
                 f"expected one of {sorted(_PRESET_BUILDERS)}"
+            )
+        accepted = inspect.signature(_PRESET_BUILDERS[self.builder]).parameters
+        unknown = sorted(set(self.kwargs) - set(accepted))
+        if unknown:
+            raise ValueError(
+                f"scenario builder {self.builder!r} does not accept {unknown}; "
+                f"accepted: {sorted(accepted)}"
             )
         if self.epochs <= 0:
             raise ValueError("epochs must be positive")
@@ -226,7 +235,6 @@ def summarize_trial(
         "liveness_held": bool(result.liveness_held()),
         "peak_view_count": int(result.peak_view_count),
         "split_events": len(result.split_events()),
-        "merge_events": len(result.merge_events()),
         "balance_held_epochs": int(held),
         "balance_held_slots": int(held * slots_per_epoch),
         "slashed": len(result.slashed_indices),

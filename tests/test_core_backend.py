@@ -314,13 +314,19 @@ class TestFinalityTracker:
         # Finalization is reported once.
         assert tracker.observe(3, 0.9) == (True, False)
 
-    def test_interrupted_justification_does_not_finalize(self):
+    @pytest.mark.parametrize(
+        "ratios, threshold_epoch, finalization_epoch",
+        [([0.7, 0.5, 0.7], 0, None), ([0.1, 0.9, 0.1, 0.9, 0.9], 1, 4)],
+        ids=["never-consecutive", "single-then-pair"],
+    )
+    def test_interrupted_justification_does_not_finalize(
+        self, ratios, threshold_epoch, finalization_epoch
+    ):
         tracker = FinalityTracker.for_config(MAINNET)
-        tracker.observe(0, 0.7)
-        tracker.observe(1, 0.5)
-        tracker.observe(2, 0.7)
-        assert tracker.finalization_epoch is None
-        assert tracker.threshold_epoch == 0
+        for epoch, ratio in enumerate(ratios):
+            tracker.observe(epoch, ratio)
+        assert tracker.threshold_epoch == threshold_epoch
+        assert tracker.finalization_epoch == finalization_epoch
 
 
 class TestLeakMask:

@@ -1,18 +1,16 @@
-"""Tests for the trial-batched engine and finality tracker.
+"""Tests for the trial-batched stake engine.
 
 The contract under test: a ``BatchedStakeEngine`` holding ``(trials,
 *entry_shape)`` state evolves every trial **bit-identically** to a
 standalone :class:`StakeEngine` fed that trial's row — per-element kernel
 arithmetic is shape-independent and the weighted reductions use ``np.sum``
 over the entry axes, whose pairwise blocking depends only on the entry
-count.  Likewise :class:`BatchedFinalityTracker` must match the scalar
-streaming tracker element for element.
+count.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.ffg import BatchedFinalityTracker, FinalityTracker
 from repro.core.stake_engine import BatchedStakeEngine, StakeEngine
 from repro.spec.config import SpecConfig
 
@@ -167,48 +165,3 @@ class TestBatchedMatchesPerTrialEngine:
         ratios = engine.active_ratio(np.ones((2, 3), dtype=bool))
         assert ratios[0] == 0.0
         assert ratios[1] == 1.0
-
-
-class TestBatchedFinalityTracker:
-    def test_matches_streaming_tracker_elementwise(self):
-        rng = np.random.default_rng(5)
-        trials, epochs = 7, 40
-        ratios = rng.random((trials, epochs)) * 0.5 + 0.45
-        batched = BatchedFinalityTracker(supermajority=2.0 / 3.0, trials=trials)
-        scalars = [FinalityTracker(supermajority=2.0 / 3.0) for _ in range(trials)]
-        for epoch in range(epochs):
-            justified, finalized_now = batched.observe(epoch, ratios[:, epoch])
-            for t, tracker in enumerate(scalars):
-                expected = tracker.observe(epoch, float(ratios[t, epoch]))
-                assert (bool(justified[t]), bool(finalized_now[t])) == expected
-        for t, tracker in enumerate(scalars):
-            assert batched.finalized[t] == tracker.finalized
-            assert batched.threshold_epoch[t] == (
-                -1 if tracker.threshold_epoch is None else tracker.threshold_epoch
-            )
-            assert batched.finalization_epoch[t] == (
-                -1 if tracker.finalization_epoch is None else tracker.finalization_epoch
-            )
-            assert batched.previous_justified[t] == tracker.previous_justified
-            assert batched.previous_active_ratio[t] == tracker.previous_active_ratio
-
-    def test_for_config_uses_supermajority(self):
-        tracker = BatchedFinalityTracker.for_config(3, MAINNET)
-        assert tracker.supermajority == MAINNET.supermajority_fraction
-        assert tracker.trials == 3
-
-    def test_shape_and_argument_validation(self):
-        tracker = BatchedFinalityTracker(supermajority=2.0 / 3.0, trials=2)
-        with pytest.raises(ValueError):
-            tracker.observe(0, np.array([0.5, 0.5, 0.5]))
-        with pytest.raises(ValueError):
-            BatchedFinalityTracker(supermajority=2.0 / 3.0, trials=-1)
-
-    def test_finalization_reported_once(self):
-        tracker = BatchedFinalityTracker(supermajority=2.0 / 3.0, trials=1)
-        tracker.observe(0, np.array([0.7]))
-        _, now = tracker.observe(1, np.array([0.8]))
-        assert bool(now[0])
-        _, again = tracker.observe(2, np.array([0.9]))
-        assert not bool(again[0])
-        assert tracker.finalization_epoch[0] == 1

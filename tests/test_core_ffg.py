@@ -11,12 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core.backend import FinalityEvent, FinalityRules, get_backend
-from repro.core.ffg import (
-    FinalityTracker,
-    FlatVotePool,
-    finality_from_ratios,
-    justified_at,
-)
+from repro.core.ffg import FlatVotePool, justified_at
 
 RULES = FinalityRules(supermajority_fraction=2.0 / 3.0)
 BACKENDS = ["numpy", "python"]
@@ -401,45 +396,9 @@ class TestKernelEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Ratio-threshold finality: streaming tracker vs vectorized kernel
+# Ratio-threshold finality
 # ----------------------------------------------------------------------
 class TestRatioFinality:
     def test_justified_at_matches_tracker_threshold(self):
         assert justified_at(2.0 / 3.0, 2.0 / 3.0)  # inclusive, unlike links
         assert not justified_at(0.5, 2.0 / 3.0)
-
-    def test_tracker_and_vectorized_agree_on_random_trajectories(self):
-        rng = np.random.default_rng(31)
-        supermajority = 2.0 / 3.0
-        ratios = rng.uniform(0.3, 1.0, size=(50, 30))
-        result = finality_from_ratios(ratios, supermajority)
-        for trial in range(ratios.shape[0]):
-            tracker = FinalityTracker(supermajority=supermajority)
-            for epoch in range(ratios.shape[1]):
-                tracker.observe(epoch, float(ratios[trial, epoch]))
-            expected_threshold = (
-                -1 if tracker.threshold_epoch is None else tracker.threshold_epoch
-            )
-            expected_finalization = (
-                -1 if tracker.finalization_epoch is None else tracker.finalization_epoch
-            )
-            assert result.threshold_epoch[trial] == expected_threshold
-            assert result.finalization_epoch[trial] == expected_finalization
-            assert result.justified[trial].tolist() == [
-                ratio >= supermajority for ratio in ratios[trial]
-            ]
-
-    def test_never_justified_reports_minus_one(self):
-        result = finality_from_ratios(np.full((3, 10), 0.1), 2.0 / 3.0)
-        assert result.threshold_epoch.tolist() == [-1, -1, -1]
-        assert result.finalization_epoch.tolist() == [-1, -1, -1]
-
-    def test_single_justified_epoch_does_not_finalize(self):
-        result = finality_from_ratios([0.1, 0.9, 0.1, 0.9, 0.9], 2.0 / 3.0)
-        assert result.threshold_epoch == 1
-        assert result.finalization_epoch == 4
-
-    def test_empty_trajectory(self):
-        result = finality_from_ratios(np.empty((4, 0)), 2.0 / 3.0)
-        assert result.threshold_epoch.tolist() == [-1] * 4
-        assert result.finalization_epoch.tolist() == [-1] * 4

@@ -216,6 +216,14 @@ class TestRegistryAndRunner:
     def test_runner_without_arguments_prints_help(self, capsys):
         assert main([]) == 1
 
+    def test_runner_rejects_unknown_ids_before_running(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fig6", "no-such-exp"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "no-such-exp" in captured.err
+        assert "Figure 6" not in captured.out
+
     def test_run_experiments_helper(self):
         reports = run_experiments(["bouncing-duration"])
         assert len(reports) == 1

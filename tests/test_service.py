@@ -349,6 +349,20 @@ class TestServiceCLI:
                 "bogus_option=1",
             )
 
+    def test_submit_rejects_unknown_scenario_args(self, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            self.run_cli(
+                "submit",
+                "--service-dir",
+                tmp_path,
+                "--builder",
+                "balancing",
+                "--scenario-arg",
+                "n_validatorz=32",
+            )
+        assert "n_validatorz" in str(excinfo.value.code)
+        assert JobStore(tmp_path).list_jobs() == []
+
     def test_full_cycle_submit_run_status_results(self, tmp_path, capsys):
         self.run_cli(
             "submit",

@@ -46,6 +46,15 @@ class TestScenarioSpec:
         with pytest.raises(ValueError):
             ScenarioSpec(builder="honest", epochs=0)
 
+    def test_unknown_kwargs_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="n_validatorz"):
+            ScenarioSpec(builder="balancing", kwargs={"n_validatorz": 32})
+        # Removed engine options fail here, not inside a worker.
+        with pytest.raises(ValueError, match="merge_views"):
+            ScenarioSpec(builder="balancing", kwargs={"merge_views": True})
+        with pytest.raises(ValueError, match="merge_views"):
+            BALANCING.with_overrides(merge_views=True)
+
     def test_trial_seed_is_a_pure_function_of_trial(self):
         assert BALANCING.trial_seed(None) == "test-sweep"
         assert BALANCING.trial_seed(0) == "test-sweep/trial-0"

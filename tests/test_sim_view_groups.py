@@ -140,12 +140,6 @@ SCENARIOS = [
         {"n_validators": 12, "byzantine_fraction": 0.25},
         4,
     ),
-    (
-        "balancing-merge",
-        build_balancing_attack_simulation,
-        {"n_validators": 16, "merge_views": True},
-        4,
-    ),
     # Latency-model scenarios: per-validator sampled delivery times must
     # not break the grouped==per-node contract.  Default parameters keep
     # every latency inside one phase window (no splits); the wide-jitter
@@ -254,6 +248,28 @@ class TestGroupedEquivalence:
         grouped = builder(view_sharding=True, **kwargs).run(epochs)
         per_node = builder(view_sharding=False, **kwargs).run(epochs)
         assert_runs_equivalent(grouped, per_node)
+
+    @pytest.mark.parametrize(
+        "name, builder, kwargs, epochs", SCENARIOS, ids=SCENARIO_IDS
+    )
+    def test_grouped_topology_only_grows_by_splits(self, name, builder, kwargs, epochs):
+        engine = builder(view_sharding=True, **kwargs)
+        initial_groups = len(engine.view_groups)
+        result = engine.run(epochs)
+        # The final groups partition the validator set: each index once.
+        members = sorted(i for group in result.view_groups.values() for i in group)
+        assert members == sorted(v.index for v in engine.registry)
+        # Every topology change is a split, and each adds one group.
+        assert len(result.view_groups) == initial_groups + len(result.split_events())
+        assert result.peak_view_count == len(result.view_groups)
+        # Every transport endpoint resolves to a live view, and every live
+        # view is reachable through its representative's endpoint.
+        live = {id(view) for view in engine.views.values()}
+        for endpoint in engine.network.participants:
+            assert id(engine._view_by_endpoint[endpoint]) in live
+        assert sorted(engine.network.participants) == sorted(
+            view.validator_index for view in engine.views.values()
+        )
 
     @pytest.mark.parametrize(
         "name, builder, kwargs, epochs",
@@ -550,28 +566,6 @@ class TestLatencyViewStructure:
         assert result.split_events(), "6s jitter must cross phase boundaries"
         assert result.peak_view_count > 1
         assert result.transport_stats.latency_delayed > 0
-
-    def test_merge_views_refuses_wide_jitter_fragmentation(self):
-        fragmented = build_honest_simulation(
-            n_validators=12, latency_model=FixedJitter(base=0.5, jitter=6.0, seed=2)
-        )
-        merged = build_honest_simulation(
-            n_validators=12,
-            latency_model=FixedJitter(base=0.5, jitter=6.0, seed=2),
-            merge_views=True,
-        )
-        frag_result = fragmented.run(4)
-        merge_result = merged.run(4)
-        assert any(e.kind == "merge" for e in merge_result.view_events)
-        assert merge_result.peak_view_count <= frag_result.peak_view_count
-        assert_runs_equivalent(
-            merge_result,
-            build_honest_simulation(
-                n_validators=12,
-                latency_model=FixedJitter(base=0.5, jitter=6.0, seed=2),
-                view_sharding=False,
-            ).run(4),
-        )
 
     def test_behavior_mix_marks_lazy_delays(self):
         result = build_behavior_mix_simulation(

@@ -1,4 +1,4 @@
-"""Unit tests for dynamic view splitting, re-merging and their plumbing.
+"""Unit tests for dynamic view splitting and its plumbing.
 
 The differential suite (``test_sim_view_groups.py``) pins the end-to-end
 grouped==per-node contract for scenarios that fragment; this file tests
@@ -7,8 +7,6 @@ the mechanics in isolation:
 * ``_ensure_exact_audience`` copy-on-write splits exactly the partially
   covered groups, duplicates in-flight/withheld traffic, and preserves
   the representative-is-min-member convention;
-* ``_try_merges`` re-fuses groups only when their message streams *and*
-  state fingerprints have re-converged, gated by ``merge_views``;
 * the adversary's audience caches, exact-validator memos included, are
   invalidated on every topology change (the staleness regression);
 * the inclusion horizon bounds the attestation backlog and rebases
@@ -17,12 +15,12 @@ the mechanics in isolation:
 
 import pytest
 
-from repro.agents.honest import HonestAgent, OfflineAgent
+from repro.agents.honest import OfflineAgent
 from repro.network.latency import FixedJitter
 from repro.network.message import Message
 from repro.network.partition import PartitionSchedule
 from repro.sim.engine import SimulationEngine
-from repro.sim.node import Node
+from repro.sim.node import INCLUSION_HORIZON_EPOCHS, Node
 from repro.sim.scenarios import (
     build_honest_simulation,
     build_partitioned_simulation,
@@ -31,7 +29,7 @@ from repro.spec.config import SpecConfig
 from repro.spec.validator import make_registry
 
 
-def _offline_engine(n: int = 8, merge_views: bool = True) -> SimulationEngine:
+def _offline_engine(n: int = 8) -> SimulationEngine:
     """A healthy network of silent validators: one 'global' view group."""
     config = SpecConfig.minimal()
     registry = make_registry(n, config)
@@ -41,7 +39,6 @@ def _offline_engine(n: int = 8, merge_views: bool = True) -> SimulationEngine:
         schedule=PartitionSchedule.fully_connected(delta=1.0),
         config=config,
         view_sharding=True,
-        merge_views=merge_views,
     )
 
 
@@ -51,6 +48,24 @@ def _attestation_message(engine: SimulationEngine, group: str = "global"):
     return Message.attestation(
         attestation, sender=view.members[0], sent_at=0.0
     )
+
+
+def _pending(engine: SimulationEngine, endpoint: int):
+    """In-flight ``(deliver_at, message_id)`` stream of one endpoint, sorted."""
+    return sorted(
+        (delivery.deliver_at, delivery.message.message_id)
+        for delivery in engine.network._queue
+        if delivery.recipient == endpoint
+    )
+
+
+def _withheld(engine: SimulationEngine, endpoint: int):
+    """Withheld message ids addressed to ``endpoint``, in withhold order."""
+    return [
+        message.message_id
+        for message, recipient in engine.network._withheld
+        if recipient == endpoint
+    ]
 
 
 class TestSplitMechanics:
@@ -71,8 +86,8 @@ class TestSplitMechanics:
         assert engine._endpoint_of[5] == 4
         # The split happened *before* scheduling: only the covered side's
         # endpoint receives the diverging message.
-        assert [m for _, m in engine.network.pending_for(0)] == [message.message_id]
-        assert engine.network.pending_for(4) == []
+        assert [m for _, m in _pending(engine, 0)] == [message.message_id]
+        assert _pending(engine, 4) == []
         (event,) = engine.view_events
         assert event.kind == "split"
         assert (event.parent, event.child) == ("global", "global/4")
@@ -96,12 +111,12 @@ class TestSplitMechanics:
         engine.adversary.send_to_validators(diverging, (0, 1, 2, 3))
         # Both children must observe the identical pre-split stream; the
         # diverging message itself reaches only the covered child.
-        pending_old = engine.network.pending_for(0)
-        pending_new = engine.network.pending_for(4)
+        pending_old = _pending(engine, 0)
+        pending_new = _pending(engine, 4)
         assert pending_new == [(1.0, in_flight.message_id)]
         assert pending_old == pending_new + [(1.0, diverging.message_id)]
-        assert engine.network.withheld_for(0) == [withheld.message_id]
-        assert engine.network.withheld_for(4) == [withheld.message_id]
+        assert _withheld(engine, 0) == [withheld.message_id]
+        assert _withheld(engine, 4) == [withheld.message_id]
 
     def test_per_node_mode_never_splits(self):
         engine = build_honest_simulation(n_validators=8, view_sharding=False)
@@ -110,80 +125,6 @@ class TestSplitMechanics:
         )
         assert len(engine.views) == 8
         assert engine.view_events == []
-
-
-def _split_and_cross_deliver(engine):
-    """Split 'global' along (0,1,2), then deliver the same content to
-    both sides via two distinct messages.  Returns the child name."""
-    first = _attestation_message(engine)
-    second = Message.attestation(first.payload, first.sender, first.sent_at)
-    engine.adversary.send_to_validators(first, (0, 1, 2))
-    child = "global/3"
-    assert set(engine.view_groups) == {"global", child}
-    engine.adversary.send_to_validators(
-        second, tuple(engine.view_groups[child])
-    )
-    return child
-
-
-class TestMergeMechanics:
-    def test_converged_groups_remerge(self):
-        engine = _offline_engine()
-        child = _split_and_cross_deliver(engine)
-        engine._deliver_due(1.0)
-        engine._try_merges()
-        assert set(engine.view_groups) == {"global"}
-        assert engine.views["global"].members == tuple(range(8))
-        assert engine.group_of[7] == "global"
-        assert engine.nodes[7].node is engine.views["global"]
-        assert engine.adversary.resolve_endpoints(range(8)) == (0,)
-        merge = engine.view_events[-1]
-        assert merge.kind == "merge"
-        assert (merge.parent, merge.child) == ("global", child)
-
-    def test_divergent_groups_do_not_merge(self):
-        engine = _offline_engine()
-        # Deliver the diverging message to one side only.
-        engine.adversary.send_to_validators(
-            _attestation_message(engine), (0, 1, 2)
-        )
-        engine._deliver_due(1.0)
-        engine._try_merges()
-        assert set(engine.view_groups) == {"global", "global/3"}
-
-    def test_unequal_pending_streams_block_merge(self):
-        engine = _offline_engine()
-        _split_and_cross_deliver(engine)
-        # Same content is in flight to both sides, but under *different*
-        # message ids — the stream check must refuse until delivery.
-        engine._try_merges()
-        assert set(engine.view_groups) == {"global", "global/3"}
-
-    def test_stale_deliveries_to_dead_endpoint_are_dropped(self):
-        engine = _offline_engine()
-        _split_and_cross_deliver(engine)
-        engine._deliver_due(1.0)
-        # A broadcast sits identically in both endpoints' queues: merge is
-        # legal, and the dead endpoint's copy must be dropped silently.
-        late = _attestation_message(engine)
-        engine.network.broadcast(late)
-        engine._try_merges()
-        assert set(engine.view_groups) == {"global"}
-        engine._deliver_due(2.0)  # must not raise on the dead endpoint
-
-    def test_merge_views_flag_gates_the_run_loop(self):
-        merging = _offline_engine(merge_views=True)
-        _split_and_cross_deliver(merging)
-        result = merging.run(2)
-        assert len(merging.views) == 1
-        assert len(result.merge_events()) == 1
-        assert result.peak_view_count == 2
-
-        frozen = _offline_engine(merge_views=False)
-        _split_and_cross_deliver(frozen)
-        result = frozen.run(2)
-        assert len(frozen.views) == 2
-        assert result.merge_events() == []
 
 
 class TestAdversaryCacheInvalidation:
@@ -228,7 +169,7 @@ class TestAdversaryCacheInvalidation:
 
 
 def _pending_ids(engine, endpoint):
-    return [message_id for _, message_id in engine.network.pending_for(endpoint)]
+    return [message_id for _, message_id in _pending(engine, endpoint)]
 
 
 class _ReadRecordingDict(dict):
@@ -276,23 +217,6 @@ class TestTargetedSendMemo:
         assert again.message_id in _pending_ids(engine, 0)
         assert again.message_id in _pending_ids(engine, 3)
 
-    def test_repeat_after_remerge_resolves_current_endpoints(self):
-        engine = _offline_engine(merge_views=True)
-        adversary = engine.adversary
-        everyone = tuple(range(8))
-        _split_and_cross_deliver(engine)
-        adversary.send_to_validators(_attestation_message(engine), everyone)
-        assert adversary._audience_cache[everyone] == (0, 3)
-        engine._deliver_due(1.0)
-        engine._try_merges()
-        assert set(engine.view_groups) == {"global"}
-        again = _attestation_message(engine)
-        adversary.send_to_validators(again, everyone)
-        # A stale memo would also address the dead endpoint 3.
-        assert adversary._audience_cache[everyone] == (0,)
-        assert _pending_ids(engine, 0) == [again.message_id]
-        assert _pending_ids(engine, 3) == []
-
     def test_modeled_latency_buckets_never_read_the_memo(self):
         engine = build_honest_simulation(
             n_validators=12, latency_model=FixedJitter(base=0.5, jitter=6.0, seed=2)
@@ -335,26 +259,10 @@ class TestInclusionHorizon:
     def test_horizon_bounds_columns_in_a_long_run(self):
         engine = build_honest_simulation(n_validators=12)
         engine.run(6)
+        assert INCLUSION_HORIZON_EPOCHS == 2
         for view in engine.views.values():
-            horizon = view.inclusion_horizon_epochs
-            assert horizon == 2
-            assert len(view.attestations_by_epoch) <= horizon + 1
+            assert len(view.attestations_by_epoch) <= INCLUSION_HORIZON_EPOCHS + 1
             assert all(epoch >= 4 for epoch in view.attestations_by_epoch)
-
-    def test_horizon_none_restores_unbounded_backlog(self):
-        config = SpecConfig.minimal()
-        registry = make_registry(12, config)
-        engine = SimulationEngine(
-            registry=registry,
-            agents={i: HonestAgent(i) for i in range(12)},
-            schedule=PartitionSchedule.fully_connected(delta=1.0),
-            config=config,
-            inclusion_horizon_epochs=None,
-        )
-        engine.run(4)
-        (view,) = engine.views.values()
-        assert view.inclusion_horizon_epochs is None
-        assert {0, 1, 2, 3} <= set(view.attestations_by_epoch)
 
     def test_horizon_identical_across_sharding_modes(self):
         grouped = build_honest_simulation(n_validators=10).run(5)
