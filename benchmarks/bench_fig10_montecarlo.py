@@ -13,6 +13,11 @@ Three layers:
   epoch).  Asserts >=10x and byte-identical results, and writes the
   machine-readable ``BENCH_fig10.json`` artifact (trials/sec, speedup,
   workload) that CI uploads.
+* ``test_jobs2_dispatch_record`` — the Figure-10 default shape (512
+  trials x 256 honest) over a short horizon at ``jobs=1`` and ``jobs=2``:
+  asserts byte-identical trials and records the two wall times, the
+  parallel efficiency and the dispatch-unit count in ``BENCH_fig10.json``
+  (a record, not a gate — shared runners have too few or noisy cores).
 * ``test_mainnet_scale_gap_demo`` — the CI-feasible mainnet-scale
   demonstration workload (10^4 trials x 10^4 validators) reporting the
   closed-form-vs-empirical gap per (p0, beta0) point.  Skipped unless
@@ -33,6 +38,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.montecarlo import BouncingMonteCarlo
+from repro.core.trials import group_chunks, plan_chunks
 from repro.experiments import fig10_montecarlo
 from repro.spec.config import SpecConfig
 
@@ -48,6 +54,15 @@ SPEEDUP_WORKLOAD = {
     "seed": 0,
 }
 MIN_SPEEDUP = 10.0
+
+# Dispatch record: the Figure-10 default trial plan at a short horizon.
+DISPATCH_WORKLOAD = {
+    "beta0": 1.0 / 3.0,
+    "n_honest": 256,
+    "n_trials": 512,
+    "horizon": 400,
+    "seed": 0,
+}
 
 
 def _best_of(repeats, fn):
@@ -156,6 +171,53 @@ def test_batched_speedup_vs_per_trial():
         f"batched path only {speedup:.1f}x faster than per-trial "
         f"(expected >= {MIN_SPEEDUP}x): "
         f"per-trial {per_trial_seconds:.3f}s vs batched {batched_seconds:.3f}s"
+    )
+
+
+@pytest.mark.benchmark(group="fig10-montecarlo")
+def test_jobs2_dispatch_record():
+    monte_carlo = BouncingMonteCarlo(
+        beta0=DISPATCH_WORKLOAD["beta0"],
+        n_honest=DISPATCH_WORKLOAD["n_honest"],
+        enforce_stopping=False,
+        seed=DISPATCH_WORKLOAD["seed"],
+    )
+    n_trials = DISPATCH_WORKLOAD["n_trials"]
+    horizon = DISPATCH_WORKLOAD["horizon"]
+    record = [horizon // 2, horizon]
+
+    def run(jobs):
+        return monte_carlo.run(
+            n_trials=n_trials, horizon=horizon, record_epochs=record, jobs=jobs
+        )
+
+    jobs1_seconds, serial = _best_of(2, lambda: run(1))
+    jobs2_seconds, parallel = _best_of(2, lambda: run(2))
+    _trials_identical(serial, parallel)
+
+    units = group_chunks(
+        plan_chunks(n_trials, seed=DISPATCH_WORKLOAD["seed"]),
+        monte_carlo.default_batch(n_trials),
+    )
+    usable_cpus = (
+        len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    )
+    payload = json.loads(RESULTS_PATH.read_text()) if RESULTS_PATH.exists() else {}
+    payload["jobs2_dispatch"] = {
+        "workload": dict(DISPATCH_WORKLOAD, record_epochs=record),
+        "jobs1_seconds": jobs1_seconds,
+        "jobs2_seconds": jobs2_seconds,
+        "parallel_efficiency": jobs1_seconds / (2 * jobs2_seconds),
+        "units": len(units),
+        "largest_unit_share": max(unit.size for unit in units) / n_trials,
+        "usable_cpus": usable_cpus,
+    }
+    RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    print()
+    print(
+        f"jobs=1 {jobs1_seconds:.3f}s  jobs=2 {jobs2_seconds:.3f}s  "
+        f"efficiency {payload['jobs2_dispatch']['parallel_efficiency']:.2f} "
+        f"over {len(units)} units on {usable_cpus} usable CPUs -> {RESULTS_PATH.name}"
     )
 
 

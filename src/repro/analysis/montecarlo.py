@@ -23,9 +23,11 @@ branches each epoch.  RNG streams stay per-chunk — each chunk draws from
 its own spawned generator in a fixed order — so the results are
 bit-identical for a given ``(seed, chunk_size)`` whatever ``jobs`` *and*
 whatever ``batch`` (the kernel-batch width is a pure throughput knob; the
-regression tests assert both invariances).  Groups are dispatched through
-the seeded parallel runner (:mod:`repro.core.trials`), which multiplies
-the batched throughput across cores.
+regression tests assert both invariances).  The chunks are split into
+groups whose chunk counts differ by at most one
+(:func:`~repro.core.trials.group_chunks`), and the groups are dispatched
+through the seeded task runner (:mod:`repro.core.trials`), serially or to
+a process pool at ``jobs`` > 1.
 """
 
 from __future__ import annotations
@@ -47,10 +49,12 @@ from repro.core.trials import (
 )
 from repro.spec.config import SpecConfig
 
-#: Target element count per batched state array: the kernel-batch width is
-#: capped so one ``(batch, 2, n + 1)`` matrix stays cache-friendly even at
-#: mainnet validator counts (large batches of wide rows thrash the cache).
-_TARGET_BATCH_ELEMENTS = 262_144
+#: Target element count per batched state array (2^15 float64 = 256 KiB):
+#: the kernel-batch width is capped so one ``(batch, 2, n + 1)`` matrix
+#: stays in cache.  Serial throughput peaks at 16k–33k elements for 32 to
+#: 1000 honest validators and falls off past it (README, "Trial-batched
+#: kernel layout").
+_TARGET_BATCH_ELEMENTS = 2 ** 15
 
 
 @dataclass
@@ -339,13 +343,15 @@ class BouncingMonteCarlo:
     def default_batch(self, n_trials: int, chunk_size: int = DEFAULT_CHUNK_SIZE) -> int:
         """Kernel-batch width used when ``run`` is not given one explicitly.
 
-        Wide enough to amortize per-kernel-call overhead across trials, but
-        capped so one ``(batch, 2, n_honest + 1)`` state matrix stays within
-        a cache-friendly element budget — at mainnet validator counts a huge
-        batch is *slower* than a moderate one.
+        The largest whole number of chunks whose ``(batch, 2, n_honest +
+        1)`` state matrix stays within the ``_TARGET_BATCH_ELEMENTS``
+        cache budget — never less than one chunk, never more chunks than
+        ``n_trials`` needs.  Past the budget a wider batch runs *slower*
+        per element-epoch, not faster.
         """
-        cap = max(1, _TARGET_BATCH_ELEMENTS // (2 * (self.n_honest + 1)))
-        return max(chunk_size, min(cap, n_trials))
+        cap_chunks = _TARGET_BATCH_ELEMENTS // (2 * (self.n_honest + 1) * chunk_size)
+        n_chunks = -(-n_trials // chunk_size)
+        return chunk_size * max(1, min(cap_chunks, n_chunks))
 
     def run(
         self,
