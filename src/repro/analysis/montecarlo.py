@@ -23,11 +23,10 @@ branches each epoch.  RNG streams stay per-chunk — each chunk draws from
 its own spawned generator in a fixed order — so the results are
 bit-identical for a given ``(seed, chunk_size)`` whatever ``jobs`` *and*
 whatever ``batch`` (the kernel-batch width is a pure throughput knob; the
-regression tests assert both invariances).  The chunks are split into
-groups whose chunk counts differ by at most one
-(:func:`~repro.core.trials.group_chunks`), and the groups are dispatched
-through the seeded task runner (:mod:`repro.core.trials`), serially or to
-a process pool at ``jobs`` > 1.
+regression tests assert both invariances).  Contiguous chunks are grouped
+up to the batch width (:func:`~repro.core.trials.group_chunks`), and the
+groups are dispatched through the seeded task runner
+(:mod:`repro.core.trials`), serially or to a process pool at ``jobs`` > 1.
 """
 
 from __future__ import annotations
@@ -343,15 +342,13 @@ class BouncingMonteCarlo:
     def default_batch(self, n_trials: int, chunk_size: int = DEFAULT_CHUNK_SIZE) -> int:
         """Kernel-batch width used when ``run`` is not given one explicitly.
 
-        The largest whole number of chunks whose ``(batch, 2, n_honest +
-        1)`` state matrix stays within the ``_TARGET_BATCH_ELEMENTS``
-        cache budget — never less than one chunk, never more chunks than
-        ``n_trials`` needs.  Past the budget a wider batch runs *slower*
-        per element-epoch, not faster.
+        As many trials as one ``(batch, 2, n_honest + 1)`` state matrix
+        fits within the ``_TARGET_BATCH_ELEMENTS`` cache budget, capped at
+        ``n_trials`` and never less than one chunk.  Past the budget a wider
+        batch runs *slower* per element-epoch, not faster.
         """
-        cap_chunks = _TARGET_BATCH_ELEMENTS // (2 * (self.n_honest + 1) * chunk_size)
-        n_chunks = -(-n_trials // chunk_size)
-        return chunk_size * max(1, min(cap_chunks, n_chunks))
+        cap = max(1, _TARGET_BATCH_ELEMENTS // (2 * (self.n_honest + 1)))
+        return max(chunk_size, min(cap, n_trials))
 
     def run(
         self,

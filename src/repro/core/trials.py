@@ -27,7 +27,6 @@ unit interface for deterministic grid maps.
 
 from __future__ import annotations
 
-import itertools
 import os
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
@@ -128,37 +127,30 @@ def plan_chunks(
 
 
 def group_chunks(chunks: Sequence[TrialChunk], batch: int) -> List[ChunkGroup]:
-    """Split contiguous chunks into the fewest even groups that fit ``batch``.
+    """Group contiguous chunks so each group holds at most ``batch`` trials.
 
-    Grouping never splits a chunk and never reorders: the chunks are cut
-    into ``k`` runs of consecutive chunks whose chunk counts differ by at
-    most one, the longer runs last (so a short tail chunk from
-    :func:`plan_chunks` joins a longer run).  ``k`` is the smallest count
-    for which every run of two or more chunks holds at most ``batch``
-    trials; a single oversized chunk still forms its own group.  Splitting
-    evenly instead of packing greedily keeps every dispatched unit about
-    the same size, so no pool worker is left with most of the trials.
-
-    Because the chunk plan — and with it every per-chunk seed — is
-    untouched, a worker that draws from each chunk's own generator
-    produces the same per-trial streams whatever ``batch`` is; grouping
-    only widens the kernel batch.
+    Grouping never splits a chunk and never reorders: each group is a run
+    of consecutive chunks whose combined size fits ``batch`` (a single
+    oversized chunk still forms its own group).  Because the chunk plan —
+    and with it every per-chunk seed — is untouched, a worker that draws
+    from each chunk's own generator produces the same per-trial streams
+    whatever ``batch`` is; grouping only widens the kernel batch.
     """
     if batch <= 0:
         raise ValueError("batch must be positive")
-    chunks = list(chunks)
-    n = len(chunks)
-    prefix = list(itertools.accumulate((chunk.size for chunk in chunks), initial=0))
-    # A group needs at most ``batch`` trials, or a chunk of its own: no
-    # split into fewer groups than this clamped total allows can fit.
-    fewest = -(-sum(min(chunk.size, batch) for chunk in chunks) // batch)
-    for k in range(max(1, fewest), n + 1):
-        q, r = divmod(n, k)
-        cuts = [i * q + max(0, i - (k - r)) for i in range(k + 1)]
-        spans = list(zip(cuts, cuts[1:]))
-        if all(hi - lo == 1 or prefix[hi] - prefix[lo] <= batch for lo, hi in spans):
-            return [ChunkGroup(chunks[lo:hi]) for lo, hi in spans]
-    return []
+    groups: List[ChunkGroup] = []
+    current = ChunkGroup()
+    current_size = 0
+    for chunk in chunks:
+        if current and current_size + chunk.size > batch:
+            groups.append(current)
+            current = ChunkGroup()
+            current_size = 0
+        current.append(chunk)
+        current_size += chunk.size
+    if current:
+        groups.append(current)
+    return groups
 
 
 def plan_task_chunks(

@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.analysis.bouncing import BouncingAttackModel, attack_duration_probability
 from repro.analysis.montecarlo import BouncingMonteCarlo
@@ -198,19 +196,6 @@ class TestTrialBatching:
         # Never below the chunk size, never above the trial count when tiny.
         assert small.default_batch(8, chunk_size=8) == 8
         assert large.default_batch(100_000) >= 1
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        n_honest=st.integers(min_value=1, max_value=20_000),
-        n_trials=st.integers(min_value=1, max_value=100_000),
-        chunk_size=st.integers(min_value=1, max_value=256),
-    )
-    def test_default_batch_is_whole_chunks(self, n_honest, n_trials, chunk_size):
-        mc = BouncingMonteCarlo(beta0=0.3, n_honest=n_honest, config=FAST)
-        batch = mc.default_batch(n_trials, chunk_size=chunk_size)
-        assert batch % chunk_size == 0
-        # At least one chunk; no more chunks than the trials fill.
-        assert chunk_size <= batch <= chunk_size * -(-n_trials // chunk_size)
 
     def test_figure10_default_plan_is_balanced(self):
         # 512 trials x 256 honest, the Figure-10 / bouncing-mc shape: no

@@ -5,12 +5,8 @@ The headline property: a seeded run's results are bit-identical whatever
 trial count, the chunk size and the root seed.
 """
 
-import itertools
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.analysis.montecarlo import BouncingMonteCarlo
 from repro.core.trials import (
@@ -173,75 +169,6 @@ class TestChunkGrouping:
         chunks = plan_chunks(4, seed=0, chunk_size=2)
         with pytest.raises(ValueError):
             group_chunks(chunks, 0)
-
-
-def chunks_of(sizes):
-    """Contiguous chunks with the given sizes (seeds are irrelevant here)."""
-    starts = itertools.accumulate(sizes, initial=0)
-    seed = np.random.SeedSequence(0)
-    return [TrialChunk(start=start, size=size, seed=seed) for start, size in zip(starts, sizes)]
-
-
-def fits_evenly(chunks, n_groups, batch):
-    """Whether *some* split into ``n_groups`` contiguous runs whose chunk
-    counts differ by at most one keeps every multi-chunk run within ``batch``
-    — the longer runs may sit anywhere."""
-    q, r = divmod(len(chunks), n_groups)
-    for longer in itertools.combinations(range(n_groups), r):
-        start, fits = 0, True
-        for index in range(n_groups):
-            count = q + (index in longer)
-            run = chunks[start : start + count]
-            start += count
-            if len(run) > 1 and sum(chunk.size for chunk in run) > batch:
-                fits = False
-                break
-        if fits:
-            return True
-    return False
-
-
-class TestEvenGroupingProperties:
-    @settings(max_examples=200, deadline=None)
-    @given(
-        sizes=st.lists(st.integers(min_value=1, max_value=50), max_size=20),
-        batch=st.integers(min_value=1, max_value=200),
-    )
-    def test_chunk_counts_differ_by_at_most_one(self, sizes, batch):
-        chunks = chunks_of(sizes)
-        groups = group_chunks(chunks, batch)
-        assert [chunk for group in groups for chunk in group] == chunks
-        counts = [len(group) for group in groups]
-        assert not counts or max(counts) - min(counts) <= 1
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        sizes=st.lists(st.integers(min_value=1, max_value=50), max_size=20),
-        batch=st.integers(min_value=1, max_value=200),
-    )
-    def test_only_a_lone_oversized_chunk_exceeds_the_budget(self, sizes, batch):
-        for group in group_chunks(chunks_of(sizes), batch):
-            assert group.size <= batch or len(group) == 1
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        chunk_size=st.integers(min_value=1, max_value=64),
-        n_chunks=st.integers(min_value=1, max_value=12),
-        tail=st.integers(min_value=1, max_value=64),
-        batch=st.integers(min_value=1, max_value=800),
-    )
-    def test_group_count_is_the_fewest_that_fit(self, chunk_size, n_chunks, tail, batch):
-        # Plans as plan_chunks makes them: full chunks then a shorter tail.
-        n_trials = (n_chunks - 1) * chunk_size + min(tail, chunk_size)
-        chunks = plan_chunks(n_trials, seed=0, chunk_size=chunk_size)
-        groups = group_chunks(chunks, batch)
-        assert fits_evenly(chunks, len(groups), batch)
-        assert not any(fits_evenly(chunks, k, batch) for k in range(1, len(groups)))
-
-    def test_even_split_replaces_greedy_packing(self):
-        # Greedy packing at batch 510 made units of 448 and 64 trials.
-        groups = group_chunks(plan_chunks(512, seed=0), 510)
-        assert [group.size for group in groups] == [256, 256]
 
 
 class TestRunTasksOverChunkGroups:
