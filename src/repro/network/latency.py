@@ -46,7 +46,7 @@ computation.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -397,7 +397,10 @@ class GossipPropagation(LatencyModel):
         self.hop_delay = (float(lo), float(hi))
         self._position: Optional[np.ndarray] = None
         self._neighbors: Optional[np.ndarray] = None
-        self._hops_cache: Dict[int, np.ndarray] = {}
+        # Memo of the last origin only: consecutive messages share their
+        # origin (one phase, one virtual source), distinct origins rarely
+        # repeat later, and one array bounds the memory.
+        self._last_hops: Optional[Tuple[int, np.ndarray]] = None
 
     # ------------------------------------------------------------------
     def bind(
@@ -407,65 +410,91 @@ class GossipPropagation(LatencyModel):
         seconds_per_slot: Optional[float] = None,
     ) -> "GossipPropagation":
         super().bind(schedule, indices, seconds_per_slot)
-        self._hops_cache.clear()
+        self._last_hops = None
         n = len(self.indices)
         positions = np.full((max(self.indices) + 1) if n else 1, -1, dtype=np.int64)
-        for pos, index in enumerate(self.indices):
-            positions[index] = pos
+        positions[list(self.indices)] = np.arange(n)
         self._position = positions
         # Ring edges guarantee connectivity; seeded extra peers give the
-        # small-world fan-out.  Adjacency is a padded (n, max_deg) matrix.
-        rng = np.random.default_rng(self.seed)
-        neighbor_sets = [set() for _ in range(n)]
+        # small-world fan-out.  Adjacency is a padded (n, max_deg) matrix
+        # of sorted peers whose pads point at the sentinel position ``n``.
         if n > 1:
-            for pos in range(n):
-                neighbor_sets[pos].add((pos + 1) % n)
-                neighbor_sets[(pos + 1) % n].add(pos)
+            pos = np.arange(n, dtype=np.int64)
+            ring = (pos + 1) % n
+            sources, targets = [pos, ring], [ring, pos]
             extra = max(0, self.degree - 2)
             if extra:
-                targets = rng.integers(0, n, size=(n, extra))
-                for pos in range(n):
-                    for target in targets[pos]:
-                        if target != pos:
-                            neighbor_sets[pos].add(int(target))
-                            neighbor_sets[int(target)].add(pos)
-        width = max((len(s) for s in neighbor_sets), default=1) or 1
-        adjacency = np.full((n, width), -1, dtype=np.int64)
-        for pos, peers in enumerate(neighbor_sets):
-            for column, peer in enumerate(sorted(peers)):
-                adjacency[pos, column] = peer
+                rng = np.random.default_rng(self.seed)
+                drawn = rng.integers(0, n, size=(n, extra)).ravel()
+                owners = np.repeat(pos, extra)
+                keep = drawn != owners
+                sources += [owners[keep], drawn[keep]]
+                targets += [drawn[keep], owners[keep]]
+            # Directed edge keys sort by (source, target): one unique pass
+            # deduplicates and orders every row at once.
+            keys = np.unique(np.concatenate(sources) * n + np.concatenate(targets))
+            rows, peers = np.divmod(keys, n)
+            lengths = np.bincount(rows, minlength=n)
+            starts = np.cumsum(lengths) - lengths
+            adjacency = np.full((n, int(lengths.max())), n, dtype=np.int64)
+            adjacency[rows, np.arange(len(keys)) - starts[rows]] = peers
+        else:
+            adjacency = np.full((n, 1), n, dtype=np.int64)
         self._neighbors = adjacency
         return self
 
     def hops_from(self, origin_index: int) -> np.ndarray:
-        """BFS hop distances (by overlay) from a validator to every position."""
+        """BFS hop distances (by overlay) from a validator to every position.
+
+        The returned int64 array is read-only: it is memoized for the
+        next call with the same origin.
+        """
         self._require_bound()
         if self._neighbors is None:
             raise RuntimeError("GossipPropagation.bind must run before hops_from")
-        cached = self._hops_cache.get(origin_index)
-        if cached is not None:
-            return cached
+        if self._last_hops is not None and self._last_hops[0] == origin_index:
+            return self._last_hops[1]
         n = len(self.indices)
-        hops = np.full(n, -1, dtype=np.int64)
-        start = int(self._position[origin_index]) if origin_index < len(self._position) else -1
+        start = (
+            int(self._position[origin_index])
+            if 0 <= origin_index < len(self._position)
+            else -1
+        )
         if start < 0:
             # Unknown origins (never the engine's case) propagate from the
             # deterministic position 0 so distances stay defined.
             start = 0
+        hops = np.full(n, -1, dtype=np.int64)
         hops[start] = 0
+        # Frontier-bitmask BFS.  The pad sentinel ``n`` starts visited, so
+        # pads never enter a frontier.
+        seen = np.zeros(n + 1, dtype=bool)
+        seen[[start, n]] = True
         frontier = np.array([start], dtype=np.int64)
+        unvisited = n - 1
         level = 0
         while frontier.size:
             level += 1
-            candidates = self._neighbors[frontier].ravel()
-            candidates = candidates[candidates >= 0]
-            fresh = candidates[hops[candidates] < 0]
-            if fresh.size == 0:
-                break
-            fresh = np.unique(fresh)
-            hops[fresh] = level
-            frontier = fresh
-        self._hops_cache[origin_index] = hops
+            if frontier.size < unvisited:
+                # Top-down: mark every peer of the frontier and keep the
+                # unvisited ones, already sorted and unique.
+                reached = np.zeros(n + 1, dtype=bool)
+                reached[self._neighbors[frontier]] = True
+                reached &= ~seen
+                frontier = np.flatnonzero(reached)
+            else:
+                # Bottom-up once the frontier outnumbers the unvisited
+                # positions: keep those with a peer in the frontier.
+                in_frontier = np.zeros(n + 1, dtype=bool)
+                in_frontier[frontier] = True
+                candidates = np.flatnonzero(~seen)
+                hit = in_frontier[self._neighbors[candidates]].any(axis=1)
+                frontier = candidates[hit]
+            seen[frontier] = True
+            hops[frontier] = level
+            unvisited -= frontier.size
+        hops.flags.writeable = False
+        self._last_hops = (origin_index, hops)
         return hops
 
     def _origin_for(self, message: Message, available_at: float) -> int:
@@ -479,10 +508,17 @@ class GossipPropagation(LatencyModel):
         self, message: Message, recipients: np.ndarray, available_at: float
     ) -> np.ndarray:
         hops_by_position = self.hops_from(self._origin_for(message, available_at))
-        positions = self._position[np.asarray(recipients, dtype=np.int64)]
+        try:
+            positions = self._position[recipients]
+        except IndexError:
+            positions = None
+        # Unbound indices map to position -1, which numpy would silently
+        # read as the last validator's distance.
+        if positions is None or (len(positions) and positions.min() < 0):
+            unbound = sorted(set(recipients.tolist()) - set(self.indices))
+            raise ValueError(f"recipients not bound to the gossip overlay: {unbound}")
+        # The ring keeps the overlay connected, so every distance is set.
         hops = hops_by_position[positions]
-        # Disconnected positions cannot occur (ring), but stay defined.
-        hops = np.where(hops < 0, int(hops_by_position.max()) + 1, hops)
         # The origin pays one hop too (local validation + publish): a
         # zero-latency self-delivery would otherwise split the origin out
         # of its view group on every single message.

@@ -16,10 +16,15 @@ The latency layer's contract has four load-bearing properties:
   forms (LogNormal mean/quantiles, jitter bounds, gossip hop structure).
 """
 
+import gc
 import math
+import weakref
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.network.latency import (
     LATENCY_MODEL_NAMES,
@@ -369,6 +374,35 @@ class TestGossipPropagation:
         )
         assert first.tobytes() == second.tobytes()
 
+    def test_hop_memo_holds_one_distance_array(self):
+        model = GossipPropagation(degree=6, seed=4).bind(flat_schedule(), INDICES)
+        served = []
+        for origin in range(50):
+            served.append(weakref.ref(model.hops_from(origin)))
+        gc.collect()
+        assert sum(ref() is not None for ref in served) <= 1
+
+    def test_repeated_origin_returns_equal_read_only_distances(self):
+        model = GossipPropagation(degree=6, seed=4).bind(flat_schedule(), INDICES)
+        first = model.hops_from(7).copy()
+        model.hops_from(8)
+        again = model.hops_from(7)
+        assert np.array_equal(first, again)
+        assert np.array_equal(again, model.hops_from(7))
+        assert not again.flags.writeable
+
+    def test_unbound_recipient_is_rejected_by_name(self):
+        # Position -1 would otherwise read the last validator's distance.
+        bound = [i for i in range(10) if i != 5]
+        model = GossipPropagation(degree=4, seed=4).bind(flat_schedule(), bound)
+        with pytest.raises(ValueError, match=r"\[5\]"):
+            model.delivery_times(block_message(sender=0), [4, 5, 6], available_at=0.0)
+
+    def test_recipient_above_the_largest_index_is_rejected_by_name(self):
+        model = GossipPropagation(degree=4, seed=4).bind(flat_schedule(), range(10))
+        with pytest.raises(ValueError, match=r"\[12\]"):
+            model.delivery_times(block_message(sender=0), [3, 12], available_at=0.0)
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             GossipPropagation(degree=1)
@@ -397,3 +431,71 @@ class TestFactory:
         assert resolve_latency_model(instance) is instance
         assert isinstance(resolve_latency_model("gossip", seed=2), GossipPropagation)
         assert resolve_latency_model("gossip", seed=2).seed == 2
+
+
+def deque_hops(neighbors: np.ndarray, start: int) -> np.ndarray:
+    """Textbook queue BFS over the padded overlay (pads point past the end)."""
+    n = len(neighbors)
+    hops = np.full(n, -1, dtype=np.int64)
+    hops[start] = 0
+    queue = deque([start])
+    while queue:
+        here = queue.popleft()
+        for peer in neighbors[here]:
+            if peer < n and hops[peer] < 0:
+                hops[peer] = hops[here] + 1
+                queue.append(int(peer))
+    return hops
+
+
+def set_based_overlay(n: int, degree: int, seed: int) -> np.ndarray:
+    """The original per-peer set construction of the gossip overlay."""
+    rng = np.random.default_rng(seed)
+    neighbor_sets = [set() for _ in range(n)]
+    if n > 1:
+        for pos in range(n):
+            neighbor_sets[pos].add((pos + 1) % n)
+            neighbor_sets[(pos + 1) % n].add(pos)
+        extra = max(0, degree - 2)
+        if extra:
+            targets = rng.integers(0, n, size=(n, extra))
+            for pos in range(n):
+                for target in targets[pos]:
+                    if target != pos:
+                        neighbor_sets[pos].add(int(target))
+                        neighbor_sets[int(target)].add(pos)
+    width = max((len(s) for s in neighbor_sets), default=1) or 1
+    adjacency = np.full((n, width), n, dtype=np.int64)
+    for pos, peers in enumerate(neighbor_sets):
+        adjacency[pos, : len(peers)] = sorted(peers)
+    return adjacency
+
+
+class TestGossipOverlay:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 300),
+        degree=st.integers(2, 10),
+        seed=st.integers(0, 2 ** 32 - 1),
+        origin=st.integers(-3, 310),
+    )
+    def test_bfs_matches_a_queue_bfs(self, n, degree, seed, origin):
+        model = GossipPropagation(degree=degree, seed=seed).bind(
+            flat_schedule(), range(n)
+        )
+        start = origin if 0 <= origin < n else 0  # unknown origins use position 0
+        hops = model.hops_from(origin)
+        expected = deque_hops(model._neighbors, start)
+        assert hops.dtype == np.int64
+        assert np.array_equal(hops, expected)
+        assert np.all(hops >= 0)
+
+    @pytest.mark.parametrize("degree", [2, 4, 8])
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 257, 10_000])
+    def test_vectorized_build_matches_the_set_based_build(self, n, degree):
+        model = GossipPropagation(degree=degree, seed=n + degree).bind(
+            flat_schedule(), range(n)
+        )
+        expected = set_based_overlay(n, degree, seed=n + degree)
+        assert model._neighbors.dtype == expected.dtype
+        assert model._neighbors.tobytes() == expected.tobytes()
