@@ -29,7 +29,6 @@ The timing assertions use ``time.perf_counter`` directly rather than the
 (how CI invokes this file).
 """
 
-import json
 import os
 import pathlib
 import time
@@ -109,7 +108,7 @@ def test_fig10_montecarlo_validation(benchmark):
 
 
 @pytest.mark.benchmark(group="fig10-montecarlo")
-def test_batched_speedup_vs_per_trial():
+def test_batched_speedup_vs_per_trial(bench_record):
     fast = SpecConfig.mainnet().with_overrides(inactivity_penalty_quotient=2 ** 16)
     monte_carlo = BouncingMonteCarlo(
         beta0=SPEEDUP_WORKLOAD["beta0"],
@@ -158,7 +157,7 @@ def test_batched_speedup_vs_per_trial():
         "min_speedup_asserted": MIN_SPEEDUP,
         "default_batch": monte_carlo.default_batch(n_trials),
     }
-    RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    bench_record(RESULTS_PATH, payload)
     print()
     print(
         f"per-trial {per_trial_seconds:.3f}s "
@@ -175,7 +174,7 @@ def test_batched_speedup_vs_per_trial():
 
 
 @pytest.mark.benchmark(group="fig10-montecarlo")
-def test_jobs2_dispatch_record():
+def test_jobs2_dispatch_record(bench_record):
     monte_carlo = BouncingMonteCarlo(
         beta0=DISPATCH_WORKLOAD["beta0"],
         n_honest=DISPATCH_WORKLOAD["n_honest"],
@@ -202,8 +201,7 @@ def test_jobs2_dispatch_record():
     usable_cpus = (
         len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     )
-    payload = json.loads(RESULTS_PATH.read_text()) if RESULTS_PATH.exists() else {}
-    payload["jobs2_dispatch"] = {
+    dispatch = {
         "workload": dict(DISPATCH_WORKLOAD, record_epochs=record),
         "jobs1_seconds": jobs1_seconds,
         "jobs2_seconds": jobs2_seconds,
@@ -212,17 +210,17 @@ def test_jobs2_dispatch_record():
         "largest_unit_share": max(unit.size for unit in units) / n_trials,
         "usable_cpus": usable_cpus,
     }
-    RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    bench_record(RESULTS_PATH, {"jobs2_dispatch": dispatch})
     print()
     print(
         f"jobs=1 {jobs1_seconds:.3f}s  jobs=2 {jobs2_seconds:.3f}s  "
-        f"efficiency {payload['jobs2_dispatch']['parallel_efficiency']:.2f} "
+        f"efficiency {dispatch['parallel_efficiency']:.2f} "
         f"over {len(units)} units on {usable_cpus} usable CPUs -> {RESULTS_PATH.name}"
     )
 
 
 @pytest.mark.benchmark(group="fig10-montecarlo")
-def test_mainnet_scale_gap_demo():
+def test_mainnet_scale_gap_demo(bench_record):
     if os.environ.get("MONTECARLO_SCALE") != "1":
         pytest.skip("mainnet-scale demo runs only with MONTECARLO_SCALE=1")
     start = time.perf_counter()
@@ -252,15 +250,18 @@ def test_mainnet_scale_gap_demo():
     # but honest.
     assert all(gap <= 0.05 for gap in gaps.values())
     if RESULTS_PATH.exists():
-        payload = json.loads(RESULTS_PATH.read_text())
-        payload["mainnet_scale"] = {
-            "n_trials": result.n_trials,
-            "n_validators": result.n_honest + 1,
-            "horizon": result.horizon,
-            "seconds": elapsed,
-            "gaps": {
-                f"p0={p0},beta0={beta0:.4f}": gap
-                for (p0, beta0), gap in gaps.items()
+        bench_record(
+            RESULTS_PATH,
+            {
+                "mainnet_scale": {
+                    "n_trials": result.n_trials,
+                    "n_validators": result.n_honest + 1,
+                    "horizon": result.horizon,
+                    "seconds": elapsed,
+                    "gaps": {
+                        f"p0={p0},beta0={beta0:.4f}": gap
+                        for (p0, beta0), gap in gaps.items()
+                    },
+                },
             },
-        }
-        RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+        )

@@ -39,15 +39,6 @@ BASE_TRIALS = 8
 GROWN_TRIALS = 16
 
 
-def _record(section: str, payload: dict) -> None:
-    """Merge one benchmark section into the JSON artifact (any test order)."""
-    results = {}
-    if RESULTS_PATH.exists():
-        results = json.loads(RESULTS_PATH.read_text())
-    results[section] = payload
-    RESULTS_PATH.write_text(json.dumps(results, indent=2) + "\n")
-
-
 def _run_job(store, cache, n_trials):
     record = store.submit(
         "sweep",
@@ -61,7 +52,7 @@ def _run_job(store, cache, n_trials):
     return elapsed, final
 
 
-def test_resume_computes_only_missing_trials(tmp_path):
+def test_resume_computes_only_missing_trials(tmp_path, bench_record):
     """The tentpole gate: growing 8 -> 16 trials stores exactly 8 more."""
     cache_dir = tmp_path / "cache"
     cold_cache = ResultCache(cache_dir)
@@ -86,17 +77,19 @@ def test_resume_computes_only_missing_trials(tmp_path):
         f"{cold_time:.2f}s ({per_trial_cold * 1e3:.0f}ms/trial), grown "
         f"{grown_time:.2f}s ({per_trial_grown * 1e3:.0f}ms/computed trial)"
     )
-    _record(
-        "resume",
+    bench_record(
+        RESULTS_PATH,
         {
-            "base_trials": BASE_TRIALS,
-            "grown_trials": GROWN_TRIALS,
-            "cold_seconds": cold_time,
-            "grown_seconds": grown_time,
-            "stores_cold": BASE_TRIALS,
-            "stores_grown": grown_cache.stats.stores,
-            "seconds_per_cold_trial": per_trial_cold,
-            "seconds_per_resumed_trial": per_trial_grown,
+            "resume": {
+                "base_trials": BASE_TRIALS,
+                "grown_trials": GROWN_TRIALS,
+                "cold_seconds": cold_time,
+                "grown_seconds": grown_time,
+                "stores_cold": BASE_TRIALS,
+                "stores_grown": grown_cache.stats.stores,
+                "seconds_per_cold_trial": per_trial_cold,
+                "seconds_per_resumed_trial": per_trial_grown,
+            },
         },
     )
     # The grown run must not pay for the cached prefix: its wall clock
@@ -105,7 +98,7 @@ def test_resume_computes_only_missing_trials(tmp_path):
     assert grown_time < per_trial_cold * (GROWN_TRIALS - BASE_TRIALS) * 1.5
 
 
-def test_replay_of_finished_job_at_least_10x_faster(tmp_path):
+def test_replay_of_finished_job_at_least_10x_faster(tmp_path, bench_record):
     """The replay gate: an identical resubmission is a disk read."""
     cache_dir = tmp_path / "cache"
     cold_time, cold = _run_job(
@@ -123,13 +116,15 @@ def test_replay_of_finished_job_at_least_10x_faster(tmp_path):
         f"\nservice replay ({BASE_TRIALS} trials): cold {cold_time:.2f}s, "
         f"warm {warm_time * 1e3:.1f}ms ({speedup:.0f}x)"
     )
-    _record(
-        "replay",
+    bench_record(
+        RESULTS_PATH,
         {
-            "n_trials": BASE_TRIALS,
-            "cold_seconds": cold_time,
-            "warm_seconds": warm_time,
-            "replay_speedup": speedup,
+            "replay": {
+                "n_trials": BASE_TRIALS,
+                "cold_seconds": cold_time,
+                "warm_seconds": warm_time,
+                "replay_speedup": speedup,
+            },
         },
     )
     assert speedup >= 10.0

@@ -43,22 +43,13 @@ SPEC = ScenarioSpec(
 )
 
 
-def _record(section: str, payload: dict) -> None:
-    """Merge one benchmark section into the JSON artifact (any test order)."""
-    results = {}
-    if RESULTS_PATH.exists():
-        results = json.loads(RESULTS_PATH.read_text())
-    results[section] = payload
-    RESULTS_PATH.write_text(json.dumps(results, indent=2) + "\n")
-
-
 def _timed_sweep(jobs):
     start = time.perf_counter()
     result = run_sweep([SPEC], N_TRIALS, jobs=jobs)
     return time.perf_counter() - start, result
 
 
-def test_parallel_sweep_at_least_3x_faster():
+def test_parallel_sweep_at_least_3x_faster(bench_record):
     """The tentpole gate: >=3x at ``jobs=4`` on byte-identical rows."""
     serial_time, serial = _timed_sweep(jobs=1)
     parallel_time, parallel = _timed_sweep(jobs=PARALLEL_JOBS)
@@ -73,20 +64,22 @@ def test_parallel_sweep_at_least_3x_faster():
         f"({N_TRIALS / parallel_time:.1f} trials/s, {speedup:.2f}x, "
         f"{efficiency:.0%} efficiency)"
     )
-    _record(
-        "parallel",
+    bench_record(
+        RESULTS_PATH,
         {
-            "n_trials": N_TRIALS,
-            "n_validators": 128,
-            "epochs": 2,
-            "jobs": PARALLEL_JOBS,
-            "cpu_count": os.cpu_count(),
-            "serial_seconds": serial_time,
-            "parallel_seconds": parallel_time,
-            "serial_trials_per_second": N_TRIALS / serial_time,
-            "parallel_trials_per_second": N_TRIALS / parallel_time,
-            "speedup": speedup,
-            "parallel_efficiency": efficiency,
+            "parallel": {
+                "n_trials": N_TRIALS,
+                "n_validators": 128,
+                "epochs": 2,
+                "jobs": PARALLEL_JOBS,
+                "cpu_count": os.cpu_count(),
+                "serial_seconds": serial_time,
+                "parallel_seconds": parallel_time,
+                "serial_trials_per_second": N_TRIALS / serial_time,
+                "parallel_trials_per_second": N_TRIALS / parallel_time,
+                "speedup": speedup,
+                "parallel_efficiency": efficiency,
+            },
         },
     )
     if (os.cpu_count() or 1) < PARALLEL_JOBS:
@@ -97,7 +90,7 @@ def test_parallel_sweep_at_least_3x_faster():
     assert speedup >= 3.0
 
 
-def test_cache_replay_at_least_20x_faster(tmp_path):
+def test_cache_replay_at_least_20x_faster(tmp_path, bench_record):
     """The cache gate: a repeated sweep is a disk read, >=20x faster."""
     start = time.perf_counter()
     cold = run_sweep([SPEC], N_TRIALS, ResultCache(tmp_path), jobs=1)
@@ -116,16 +109,18 @@ def test_cache_replay_at_least_20x_faster(tmp_path):
         f"warm {warm_time * 1e3:.1f}ms ({speedup:.0f}x), "
         f"hit rate {cache.stats.hit_rate:.0%}"
     )
-    _record(
-        "cache",
+    bench_record(
+        RESULTS_PATH,
         {
-            "n_trials": N_TRIALS,
-            "cold_seconds": cold_time,
-            "warm_seconds": warm_time,
-            "replay_speedup": speedup,
-            "hits": cache.stats.hits,
-            "misses": cache.stats.misses,
-            "hit_rate": cache.stats.hit_rate,
+            "cache": {
+                "n_trials": N_TRIALS,
+                "cold_seconds": cold_time,
+                "warm_seconds": warm_time,
+                "replay_speedup": speedup,
+                "hits": cache.stats.hits,
+                "misses": cache.stats.misses,
+                "hit_rate": cache.stats.hit_rate,
+            },
         },
     )
     assert speedup >= 20.0

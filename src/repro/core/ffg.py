@@ -145,6 +145,11 @@ class FlatVotePool:
         copy._epochs = {epoch: bucket.clone() for epoch, bucket in self._epochs.items()}
         return copy
 
+    @property
+    def weighted(self) -> bool:
+        """True when inserts tally link stake (the pool was given ``stakes``)."""
+        return self._stakes is not None
+
     # ------------------------------------------------------------------
     # Root interning
     # ------------------------------------------------------------------

@@ -21,17 +21,21 @@ facade returned by :meth:`Node.for_member`.
 Ingestion is batch-native: a committee's identical votes arrive as one
 :class:`repro.core.attestation_batch.AttestationBatch` and are ingested in
 one call — bulk :meth:`FlatVotePool.add_batch`, vectorized fork-choice
-latest-message update, array-append activity accounting — while
-equivocating (non-uniform) votes keep the per-attestation path.  Activity
-(``active_indices_for_epoch``) is computed by array comparison over the
-per-epoch vote columns instead of a per-attestation set scan.
+latest-message update, array-append activity accounting, an array check
+in the slashing detector — while equivocating (non-uniform) votes keep
+the per-attestation path.  A block's carried attestations are regrouped
+into batches (consecutive rows of one vote) on the way in, and the
+inclusion log keeps batches unexpanded until a proposer slices them.
+Activity (``active_indices_for_epoch``) is computed by array comparison
+over the per-epoch vote columns instead of a per-attestation set scan.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -59,6 +63,121 @@ AttestationLike = Union[Attestation, AttestationBatch]
 #: per-epoch vote columns — real clients only accept attestations within
 #: about an epoch, so unincluded stale votes must not accumulate forever.
 INCLUSION_HORIZON_EPOCHS = 2
+
+
+class InclusionLog:
+    """Append-only log of the attestations a view may include, by row.
+
+    Entries are single attestations or whole committee batches, kept
+    unexpanded; a batch stands for its rows in validator order.  Cursors
+    and slices count rows, so the log reads exactly like the flat list of
+    :class:`Attestation` rows it stands for.  A batch is expanded the first
+    time a slice reaches it, and every later slice — by any proposer of
+    the view — reuses that expansion.
+    """
+
+    __slots__ = ("_entries", "_starts", "_expanded", "_rows")
+
+    def __init__(self) -> None:
+        self._entries: List[AttestationLike] = []
+        #: Row offset of each entry.
+        self._starts: List[int] = []
+        #: Each entry's rows once expanded (``None`` until first sliced).
+        self._expanded: List[Optional[Sequence[Attestation]]] = []
+        self._rows = 0
+
+    def clone(self) -> "InclusionLog":
+        """An independent log with the same entries (expansions are shared)."""
+        copy = InclusionLog()
+        copy._entries = list(self._entries)
+        copy._starts = list(self._starts)
+        copy._expanded = list(self._expanded)
+        copy._rows = self._rows
+        return copy
+
+    def __len__(self) -> int:
+        return self._rows
+
+    def __iter__(self) -> Iterator[Attestation]:
+        return iter(self.slice(0, self._rows))
+
+    def append(
+        self, entry: AttestationLike, rows: Optional[Sequence[Attestation]] = None
+    ) -> None:
+        """Add one attestation, or a batch standing for its rows.
+
+        ``rows``, when the caller already holds a batch's rows (a block
+        carried them), serve as its expansion.
+        """
+        self._starts.append(self._rows)
+        self._entries.append(entry)
+        if isinstance(entry, AttestationBatch):
+            self._expanded.append(rows)
+            self._rows += len(entry)
+        else:
+            self._expanded.append((entry,))
+            self._rows += 1
+
+    def slice(self, start: int, stop: int) -> List[Attestation]:
+        """Rows ``start:stop``, expanding only the batches they reach."""
+        stop = min(stop, self._rows)
+        rows: List[Attestation] = []
+        position = max(bisect_right(self._starts, start) - 1, 0)
+        while start < stop:
+            expanded = self._expanded[position]
+            if expanded is None:
+                expanded = attestations_from_batch(self._entries[position])
+                self._expanded[position] = expanded
+            offset = self._starts[position]
+            rows.extend(expanded[start - offset : stop - offset])
+            start = offset + len(expanded)
+            position += 1
+        return rows
+
+    def drop_before(self, row: int) -> int:
+        """Drop the entries lying wholly below ``row``; return the rows dropped.
+
+        An entry straddling ``row`` stays whole, so cursors rebase by the
+        returned count, not by ``row``.
+        """
+        if row >= self._rows:
+            count = len(self._entries)
+        else:
+            count = bisect_right(self._starts, row) - 1
+        if count <= 0:
+            return 0
+        dropped = self._starts[count] if count < len(self._entries) else self._rows
+        del self._entries[:count]
+        del self._expanded[:count]
+        self._starts = [start - dropped for start in self._starts[count:]]
+        self._rows -= dropped
+        return dropped
+
+    def expire_before(self, epoch: int, cursors: Dict[int, int]) -> Dict[int, int]:
+        """Drop the entries targeting epochs before ``epoch``; rebase ``cursors``.
+
+        A cursor keeps pointing at the same surviving row: it becomes the
+        number of surviving rows below it.
+        """
+        keep = [entry.target_epoch >= epoch for entry in self._entries]
+        if all(keep):
+            return cursors
+        # kept_starts[i] = surviving rows below entry i.
+        kept_starts, kept = [], 0
+        for entry, kept_entry in zip(self._entries, keep):
+            kept_starts.append(kept)
+            if kept_entry:
+                kept += 1 if isinstance(entry, Attestation) else len(entry)
+        rebased = {}
+        for member, cursor in cursors.items():
+            position = bisect_right(self._starts, cursor) - 1
+            offset = cursor - self._starts[position] if keep[position] else 0
+            rebased[member] = kept_starts[position] + offset
+        self._entries = [e for e, k in zip(self._entries, keep) if k]
+        self._expanded = [e for e, k in zip(self._expanded, keep) if k]
+        self._starts = [start for start, k in zip(kept_starts, keep) if k]
+        self._rows = kept
+        return rebased
 
 
 @dataclass
@@ -101,8 +220,8 @@ class Node:
         #: interned by the vote pool so all structures agree).
         self.attestations_by_epoch: Dict[int, AttestationColumns] = {}
         #: Append-only log of attestations seen and eligible for block
-        #: inclusion; members track their consumption with cursors.
-        self._inclusion_log: List[Attestation] = []
+        #: inclusion; members track their consumption with row cursors.
+        self._inclusion_log = InclusionLog()
         self._inclusion_cursors: Dict[int, int] = {}
         #: Append-only log of slashing evidence known to this view, with
         #: per-member inclusion cursors (each member includes evidence it
@@ -201,7 +320,7 @@ class Node:
             epoch: columns.clone()
             for epoch, columns in self.attestations_by_epoch.items()
         }
-        clone._inclusion_log = list(self._inclusion_log)
+        clone._inclusion_log = self._inclusion_log.clone()
         clone._inclusion_cursors = {
             index: cursor
             for index, cursor in self._inclusion_cursors.items()
@@ -252,7 +371,7 @@ class Node:
     def inclusion_view(self, validator_index: int) -> List[Attestation]:
         """Attestations ``validator_index`` has seen but not yet included."""
         cursor = self._inclusion_cursors.get(validator_index, 0)
-        return self._inclusion_log[cursor:]
+        return self._inclusion_log.slice(cursor, len(self._inclusion_log))
 
     def evidence_view(self, validator_index: int) -> List[SlashingEvidence]:
         """Evidence ``validator_index`` has not yet included in a block."""
@@ -292,12 +411,51 @@ class Node:
             return
         if self.store.on_block(block):
             # Attestations and evidence carried by the block count as seen.
-            for attestation in block.attestations:
-                self._receive_attestation(attestation)
+            self._receive_carried(block.attestations)
             for validator_index in block.slashing_evidence:
                 epoch = self.config.epoch_of_slot(block.slot)
                 self.slashings_observed[epoch].add(validator_index)
             self._drain_pending()
+
+    def _receive_carried(self, attestations: Sequence[Attestation]) -> None:
+        """Receive a block's attestations, each run of one vote as a batch.
+
+        Consecutive rows with the same slot, head and FFG vote are the
+        rows of one expanded batch (they share the head and vote objects,
+        so an identity check finds them) and are received as one
+        :class:`AttestationBatch`; anything else arrives row by row.
+        Either way the node ends up exactly as if it had received every
+        row on its own.
+        """
+        count = len(attestations)
+        start = 0
+        while start < count:
+            first = attestations[start]
+            end = start + 1
+            while (
+                end < count
+                and attestations[end].ffg is first.ffg
+                and attestations[end].head_root is first.head_root
+                and attestations[end].slot == first.slot
+            ):
+                end += 1
+            if end - start == 1:
+                self._receive_attestation(first)
+            else:
+                rows = attestations[start:end]
+                batch = AttestationBatch(
+                    slot=first.slot,
+                    head_root=first.head_root,
+                    source=first.ffg.source,
+                    target=first.ffg.target,
+                    validators=np.fromiter(
+                        (a.validator_index for a in rows),
+                        dtype=np.int64,
+                        count=end - start,
+                    ),
+                )
+                self._receive_attestation_batch(batch, rows)
+            start = end
 
     def _receive_attestation(self, attestation: Attestation) -> None:
         self.attestations_received += 1
@@ -306,12 +464,14 @@ class Node:
             return
         self._ingest_attestation(attestation)
 
-    def _receive_attestation_batch(self, batch: AttestationBatch) -> None:
+    def _receive_attestation_batch(
+        self, batch: AttestationBatch, rows: Optional[Sequence[Attestation]] = None
+    ) -> None:
         self.attestations_received += len(batch)
         if batch.head_root not in self.store.tree:
             self.pending.attestations.append(batch)
             return
-        self._ingest_batch(batch)
+        self._ingest_batch(batch, rows)
 
     def _seen_columns(self, target_epoch: int) -> AttestationColumns:
         columns = self.attestations_by_epoch.get(target_epoch)
@@ -335,14 +495,21 @@ class Node:
         if evidence is not None:
             self._evidence_log.append(evidence)
 
-    def _ingest_batch(self, batch: AttestationBatch) -> None:
+    def _ingest_batch(
+        self, batch: AttestationBatch, rows: Optional[Sequence[Attestation]] = None
+    ) -> None:
         """Ingest a whole committee batch in one call.
 
-        The fork-choice store, the FFG pool and the activity columns take
-        the flat validator array directly; per-validator objects are
-        materialized once, only for block inclusion and the slashing
-        detector (the two places that genuinely need them).
+        The fork-choice store, the FFG pool, the activity columns and the
+        slashing detector take the flat validator array directly, and the
+        inclusion log keeps the batch whole (with ``rows``, when a block
+        carried them, as its expansion): no per-validator object is built
+        here.  The pool tallies link stake per batch rather than per row,
+        which is why it must stay unweighted for batch ingest to equal
+        row-by-row ingest.
         """
+        if self.pool.flat.weighted:
+            raise ValueError("view nodes need an unweighted FFG vote pool")
         self.store.on_attestation_batch(
             batch.validators, batch.target_epoch, batch.head_root
         )
@@ -354,9 +521,8 @@ class Node:
             flat.intern_root(batch.source.root),
             flat.intern_root(batch.target.root),
         )
-        rows = attestations_from_batch(batch)
-        self._inclusion_log.extend(rows)
-        self._evidence_log.extend(self.detector.observe_batch(rows))
+        self._inclusion_log.append(batch, rows)
+        self._evidence_log.extend(self.detector.observe_batch(batch))
 
     def _receive_evidence(self, evidence: SlashingEvidence) -> None:
         if not self.detector.has_evidence_against(evidence.validator_index):
@@ -374,11 +540,10 @@ class Node:
             for block in self.pending.blocks:
                 if block.parent_root in self.store.tree:
                     if self.store.on_block(block):
-                        for attestation in block.attestations:
-                            # Re-check the head: a carried attestation may
-                            # reference a block this node still lacks, in
-                            # which case it pends like any other.
-                            self._receive_attestation(attestation)
+                        # Re-checks the head: a carried attestation may
+                        # reference a block this node still lacks, in
+                        # which case it pends like any other.
+                        self._receive_carried(block.attestations)
                         for validator_index in block.slashing_evidence:
                             epoch = self.config.epoch_of_slot(block.slot)
                             self.slashings_observed[epoch].add(validator_index)
@@ -515,7 +680,9 @@ class Node:
         who = proposer if proposer is not None else self.validator_index
         parent_root = parent if parent is not None else self.head()
         cursor = self._inclusion_cursors.get(who, 0)
-        attestations = tuple(self._inclusion_log[cursor : cursor + max_attestations])
+        attestations = tuple(
+            self._inclusion_log.slice(cursor, cursor + max_attestations)
+        )
         self._inclusion_cursors[who] = cursor + len(attestations)
         if include_evidence:
             evidence_cursor = self._evidence_cursors.get(who, 0)
@@ -599,28 +766,25 @@ class Node:
         zero, matching the per-node engine's own retention of their
         unconsumed queues.
         """
-        self._inclusion_cursors = self._prune_log(
-            self._inclusion_log, self._inclusion_cursors
+        dropped = self._inclusion_log.drop_before(
+            self._consumed_floor(self._inclusion_cursors)
         )
-        self._evidence_cursors = self._prune_log(
-            self._evidence_log, self._evidence_cursors
-        )
+        self._inclusion_cursors = _rebased(self._inclusion_cursors, dropped)
+        dropped = self._consumed_floor(self._evidence_cursors)
+        del self._evidence_log[:dropped]
+        self._evidence_cursors = _rebased(self._evidence_cursors, dropped)
 
-    def _prune_log(self, log: List, cursors: Dict[int, int]) -> Dict[int, int]:
-        """Delete one log's consumed prefix; return the rebased cursors.
+    def _consumed_floor(self, cursors: Dict[int, int]) -> int:
+        """The lowest cursor of any member, or of anyone holding a cursor.
 
         Non-member cursors (tests may build blocks for arbitrary
         proposers) participate in the floor so rebasing never goes
         negative.
         """
-        floor = min(
+        return min(
             min((cursors.get(member, 0) for member in self.members), default=0),
             min(cursors.values(), default=0),
         )
-        if floor <= 0:
-            return cursors
-        del log[:floor]
-        return {member: cursor - floor for member, cursor in cursors.items()}
 
     def _prune_inclusion_horizon(self, epoch: int) -> None:
         """Expire attestations older than the inclusion horizon.
@@ -635,7 +799,7 @@ class Node:
         of attestations instead of growing forever behind an idle
         member) — and the per-epoch vote columns below the cutoff are
         deleted.  The evidence log is untouched (evidence never
-        expires).  Cursors are rebased through a keep-mask prefix count
+        expires).  Cursors are rebased to the surviving rows below them
         so every member's unconsumed *live* suffix is preserved exactly;
         the rule depends only on shared view state, so grouped and
         per-node engines prune identically.
@@ -645,21 +809,9 @@ class Node:
             e for e in self.attestations_by_epoch if e < cutoff
         ]:
             del self.attestations_by_epoch[target_epoch]
-        log = self._inclusion_log
-        if not log:
-            return
-        keep = [a.target_epoch >= cutoff for a in log]
-        if all(keep):
-            return
-        # kept_before[i] = number of surviving entries strictly before i.
-        kept_before = [0] * (len(log) + 1)
-        for i, k in enumerate(keep):
-            kept_before[i + 1] = kept_before[i] + (1 if k else 0)
-        self._inclusion_log = [a for a, k in zip(log, keep) if k]
-        self._inclusion_cursors = {
-            member: kept_before[cursor]
-            for member, cursor in self._inclusion_cursors.items()
-        }
+        self._inclusion_cursors = self._inclusion_log.expire_before(
+            cutoff, self._inclusion_cursors
+        )
 
     # ------------------------------------------------------------------
     def finalized_epochs(self) -> Set[int]:
@@ -669,6 +821,13 @@ class Node:
     def finalized_checkpoints(self) -> Dict[int, Checkpoint]:
         """Finalized checkpoints keyed by epoch."""
         return dict(self.state.finalized_checkpoints)
+
+
+def _rebased(cursors: Dict[int, int], dropped: int) -> Dict[int, int]:
+    """``cursors`` after ``dropped`` rows left the front of their log."""
+    if dropped <= 0:
+        return cursors
+    return {member: cursor - dropped for member, cursor in cursors.items()}
 
 
 class MemberView:
