@@ -128,6 +128,9 @@ class AttestationBatch:
         array = np.asarray(self.validators, dtype=np.int64)
         if array.ndim != 1 or array.shape[0] == 0:
             raise ValueError("an attestation batch needs a non-empty 1-D validator array")
+        if array.min() < 0:
+            # Rows index per-validator arrays; a negative index would wrap.
+            raise ValueError("validator indices must be non-negative")
         object.__setattr__(self, "validators", array)
         if self.slot < 0:
             raise ValueError("attestation slot must be non-negative")

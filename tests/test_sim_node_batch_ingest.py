@@ -239,6 +239,18 @@ def test_weighted_pool_is_refused():
         node.receive(Message.attestation_batch(batch, sender=0, sent_at=0.0))
 
 
+def test_batch_refuses_a_negative_validator_like_a_row():
+    """Batch ingest indexes per-validator arrays directly, so a negative
+    index must be refused up front, as :class:`Attestation` refuses it."""
+    with pytest.raises(ValueError, match="non-negative"):
+        AttestationBatch(
+            slot=1, head_root=GENESIS_ROOT,
+            source=Checkpoint(epoch=0, root=GENESIS_ROOT),
+            target=Checkpoint(epoch=0, root=GENESIS_ROOT),
+            validators=np.asarray([3, -1]),
+        )
+
+
 # ----------------------------------------------------------------------
 # The inclusion log against a plain row list
 # ----------------------------------------------------------------------
