@@ -8,8 +8,14 @@ sim-scale populations; both backends are first checked to produce
 bit-identical trajectories, so the comparison times the same semantics.
 This is the accountability check for the PR that ported ``spec/rewards``
 and ``spec/slashing`` onto ``repro.core``.
+
+The last case times the same kernels behind ``process_epoch`` on a
+10k-validator ``BeaconState``, whose registry columns they read and write
+in place, against the kernels alone on flat arrays: the ratio is the cost
+of the state layer itself.
 """
 
+import pathlib
 import time
 
 import numpy as np
@@ -17,6 +23,12 @@ import pytest
 
 from repro.core.backend import RewardRules, SlashingRules, StakeRules, get_backend
 from repro.spec.config import SpecConfig
+from repro.spec.finality import FFGVotePool
+from repro.spec.state import BeaconState
+from repro.spec.state_transition import process_epoch
+from repro.spec.validator import make_registry
+
+RESULTS_PATH = pathlib.Path(__file__).with_name("BENCH_epoch_processing.json")
 
 #: Faster-leaking configuration so ejections actually occur in-bench.
 FAST = SpecConfig.mainnet().with_overrides(inactivity_penalty_quotient=2 ** 16)
@@ -122,3 +134,115 @@ def test_numpy_at_least_10x_faster_and_bit_identical():
         f"python {timings['python']*1e3:.1f}ms -> {speedup:.0f}x"
     )
     assert speedup >= 10.0
+
+
+# ----------------------------------------------------------------------
+# State-level process_epoch against the bare kernels
+# ----------------------------------------------------------------------
+STATE_POPULATION = 10_000
+STATE_EPOCHS = 20
+#: First processed epoch: nothing has finalized since genesis, so the
+#: chain is in the inactivity leak throughout.
+FIRST_EPOCH = 10
+#: Upper bound on state-level / kernel-only time per epoch.  Measured on a
+#: 2-core x86-64 VM: 3.7-4.3 (0.66-0.77 ms against 0.17-0.19 ms per
+#: epoch); the per-validator object round-trip the column store replaced
+#: measured 90 (16.2 ms per epoch).
+MAX_STATE_OVERHEAD = 10.0
+
+
+def _leak_inputs(seed=2):
+    """Per epoch: ~90% of validators active, and a few slashings."""
+    rng = np.random.default_rng(seed)
+    return [
+        (
+            np.flatnonzero(rng.random(STATE_POPULATION) < 0.9),
+            np.flatnonzero(rng.random(STATE_POPULATION) < 0.0005),
+        )
+        for _ in range(STATE_EPOCHS)
+    ]
+
+
+def _state_epochs(state, inputs):
+    pool = FFGVotePool()
+    for offset, (active, slashable) in enumerate(inputs):
+        process_epoch(state, pool, active, slashable, epoch=FIRST_EPOCH + offset)
+    return state
+
+
+def _kernel_epochs(kernel, stakes, scores, inputs):
+    """The kernels ``process_epoch`` runs, in its order, on flat arrays."""
+    exited = np.zeros(stakes.shape[0], dtype=bool)
+    slashed = np.zeros(stakes.shape[0], dtype=bool)
+    for active_indices, slashable_indices in inputs:
+        active = np.zeros(stakes.shape[0], dtype=bool)
+        active[active_indices] = True
+        slashable = np.zeros(stakes.shape[0], dtype=bool)
+        slashable[slashable_indices] = True
+        rewards = kernel.attestation_rewards_epoch_update(
+            stakes, active, exited | slashed, REWARD_RULES, True
+        )
+        outcome = kernel.epoch_update(
+            rewards.stakes, scores, active, exited, STAKE_RULES, True
+        )
+        slashing = kernel.slashing_epoch_update(
+            outcome.stakes, slashable, slashed, exited, SLASHING_RULES
+        )
+        stakes, scores, slashed = slashing.stakes, outcome.scores, slashing.slashed
+        # Ejections and slashings take effect from the next epoch on.
+        exited = outcome.ejected | slashing.newly_slashed
+    return stakes, scores, exited, slashed
+
+
+def _best_ms_per_epoch(run, rounds=5):
+    best = float("inf")
+    for _ in range(rounds):
+        start = time.perf_counter()
+        run()
+        best = min(best, time.perf_counter() - start)
+    return best / STATE_EPOCHS * 1e3
+
+
+def test_state_level_epoch_overhead_is_bounded(bench_record):
+    """``process_epoch`` on a 10k ``BeaconState`` in a leak stays within
+    ``MAX_STATE_OVERHEAD`` of the same kernels on flat arrays, and ends in
+    the same registry bit for bit."""
+    template = BeaconState.genesis(make_registry(STATE_POPULATION, FAST), FAST)
+    inputs = _leak_inputs()
+    kernel = get_backend("numpy")
+    stakes = template.validators.stake.copy()
+    scores = template.validators.inactivity_score.copy()
+
+    state = _state_epochs(template.fork(), inputs)  # also the warmup
+    flat = _kernel_epochs(kernel, stakes, scores, inputs)
+    columns = state.validators
+    assert np.array_equal(columns.stake, flat[0])
+    assert np.array_equal(columns.inactivity_score, flat[1])
+    assert np.array_equal(
+        ~columns.active_mask(FIRST_EPOCH + STATE_EPOCHS), flat[2]
+    )
+    assert np.array_equal(columns.slashed, flat[3])
+    assert flat[2].any() and flat[3].any()
+
+    state_ms = _best_ms_per_epoch(lambda: _state_epochs(template.fork(), inputs))
+    kernel_ms = _best_ms_per_epoch(lambda: _kernel_epochs(kernel, stakes, scores, inputs))
+    ratio = state_ms / kernel_ms
+    print(
+        f"\nprocess_epoch at {STATE_POPULATION}: state {state_ms:.2f} ms/epoch, "
+        f"kernels {kernel_ms:.2f} ms/epoch -> {ratio:.2f}x"
+    )
+    bench_record(
+        RESULTS_PATH,
+        {
+            "state_level_leak": {
+                "n_validators": STATE_POPULATION,
+                "epochs": STATE_EPOCHS,
+                "active_fraction": 0.9,
+                "state_ms_per_epoch": state_ms,
+                "kernel_ms_per_epoch": kernel_ms,
+                "ratio": ratio,
+                "max_ratio": MAX_STATE_OVERHEAD,
+            }
+        },
+    )
+    assert ratio <= MAX_STATE_OVERHEAD

@@ -246,10 +246,13 @@ class AttestationColumns:
         return copy
 
     def voters_for_target_root(self, target_root_id: int) -> np.ndarray:
-        """Distinct validator indices whose vote carried ``target_root_id``."""
+        """Validator index of every vote row carrying ``target_root_id``.
+
+        A validator that voted for the target more than once appears once
+        per row; callers that need a set deduplicate.
+        """
         n = self.count
-        mask = self.target_roots[:n] == target_root_id
-        return np.unique(self.validators[:n][mask])
+        return self.validators[:n][self.target_roots[:n] == target_root_id]
 
     def __len__(self) -> int:
         return self.count

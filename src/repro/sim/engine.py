@@ -70,22 +70,7 @@ from repro.spec.blocktree import BlockTree
 from repro.spec.committees import DutyScheduler, EpochDuties
 from repro.spec.config import SpecConfig
 from repro.spec.finality import conflicting_finalized_checkpoints
-from repro.spec.validator import Validator
-
-
-def _copy_registry(registry: List[Validator]) -> List[Validator]:
-    """Deep-copy a registry: stakes evolve independently per view."""
-    return [
-        Validator(
-            index=v.index,
-            stake=v.stake,
-            inactivity_score=v.inactivity_score,
-            slashed=v.slashed,
-            exit_epoch=v.exit_epoch,
-            label=v.label,
-        )
-        for v in registry
-    ]
+from repro.spec.validator import Registry, Validator
 
 
 class SimulationEngine:
@@ -109,6 +94,13 @@ class SimulationEngine:
         self.config = config or SpecConfig.mainnet()
         self.registry = registry
         self.agents = agents
+        # Only agents whose class overrides the no-op epoch-start hook get
+        # a context built for it (honest validators never do).
+        self._epoch_start_agents: List[Tuple[int, ValidatorAgent]] = [
+            (index, agent)
+            for index, agent in agents.items()
+            if type(agent).on_epoch_start is not ValidatorAgent.on_epoch_start
+        ]
         self.schedule = schedule or PartitionSchedule.fully_connected()
         self.clock = SlotClock(config=self.config)
         self.scheduler = DutyScheduler(config=self.config, seed=seed)
@@ -127,10 +119,11 @@ class SimulationEngine:
         # per local view (per branch), exactly as in the paper.
         # ------------------------------------------------------------------
         self.view_groups: Dict[str, Tuple[int, ...]] = self._compute_view_groups()
+        columns = Registry.of(registry)
         self.views: Dict[str, Node] = {
             name: Node(
                 validator_index=min(members),
-                registry=_copy_registry(registry),
+                registry=columns,
                 config=self.config,
                 backend=backend,
                 members=members,
@@ -607,7 +600,7 @@ class SimulationEngine:
                         observer(self, epoch - 1)
                 if self.network.withheld_count():
                     self.adversary.release_all(slot_start)
-                for index, agent in self.agents.items():
+                for index, agent in self._epoch_start_agents:
                     agent.on_epoch_start(self._context_for(index, slot, slot_start))
 
             # Deliver messages due by the start of the slot, then propose.
@@ -633,9 +626,8 @@ class SimulationEngine:
 
         slashed: Set[int] = set()
         for view in self._honest_views:
-            for validator in view.state.validators:
-                if validator.slashed:
-                    slashed.add(validator.index)
+            columns = view.state.validators
+            slashed.update(columns.index[columns.slashed].tolist())
 
         return SimulationResult(
             epochs_run=num_epochs,

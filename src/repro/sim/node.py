@@ -53,7 +53,7 @@ from repro.spec.slashing import SlashingDetector, SlashingEvidence
 from repro.spec.state import BeaconState
 from repro.spec.state_transition import ChainHistory, EpochReport, process_epoch
 from repro.spec.types import Root
-from repro.spec.validator import Validator
+from repro.spec.validator import Registry, Validator
 
 #: Entries the network can hand to a node's attestation path.
 AttestationLike = Union[Attestation, AttestationBatch]
@@ -63,6 +63,9 @@ AttestationLike = Union[Attestation, AttestationBatch]
 #: per-epoch vote columns — real clients only accept attestations within
 #: about an epoch, so unincluded stale votes must not accumulate forever.
 INCLUSION_HORIZON_EPOCHS = 2
+
+#: The active set of an epoch in which a view saw no matching vote.
+_NO_VALIDATORS = np.zeros(0, dtype=np.int64)
 
 
 class InclusionLog:
@@ -194,7 +197,7 @@ class Node:
     def __init__(
         self,
         validator_index: int,
-        registry: List[Validator],
+        registry: Union[Registry, List[Validator]],
         config: Optional[SpecConfig] = None,
         backend: Union[str, StakeBackend] = "numpy",
         members: Optional[Sequence[int]] = None,
@@ -209,6 +212,7 @@ class Node:
         #: (FFG justification, rewards, inactivity and slashing all run
         #: array-native on it).
         self.backend = get_backend(backend, population=len(registry))
+        #: This view's state, with its own copy of the registry columns.
         self.state = BeaconState.genesis(registry, self.config)
         self.store = Store(config=self.config)
         self.pool = FFGVotePool()
@@ -237,9 +241,7 @@ class Node:
         #: Balances as of the last justified checkpoint, used to weight
         #: fork-choice votes (the real protocol weighs LMD-GHOST votes with
         #: the justified-state balances so diverging views still converge).
-        self._justified_stakes = np.fromiter(
-            (v.stake for v in self.state.validators), dtype=float, count=len(registry)
-        )
+        self._justified_stakes = self.state.validators.stake.copy()
         self._weights_version = 0
         self._head_cache: Optional[Tuple[Tuple[int, int], Root]] = None
         self._subtree_cache: Optional[Tuple[Tuple[int, int], Dict[Root, float]]] = None
@@ -257,21 +259,14 @@ class Node:
         Registry fields mutate only inside :meth:`process_epoch_end`, so
         refreshing here (and at construction) keeps the arrays exact.
         """
-        validators = self.state.validators
-        n = len(validators)
-        epoch = self.state.current_epoch
-        self._stake_arr = np.fromiter((v.stake for v in validators), float, count=n)
-        eligible = np.fromiter(
-            (v.is_active(epoch) and not v.slashed for v in validators),
-            dtype=bool,
-            count=n,
-        )
+        registry = self.state.validators
+        eligible = registry.active_mask(self.state.current_epoch) & ~registry.slashed
         self._fc_stakes = np.where(eligible, self._justified_stakes, 0.0)
         self._weights_version += 1
 
     def stake_array(self) -> np.ndarray:
-        """Current per-validator stakes as a flat array (read-only)."""
-        return self._stake_arr
+        """Current per-validator stakes: the registry's stake column (read-only)."""
+        return self.state.validators.stake
 
     # ------------------------------------------------------------------
     # Per-member views
@@ -345,7 +340,6 @@ class Node:
         # one, as both continue from the same store version.
         clone._subtree_cache = None
         clone._checkpoint_cache = dict(self._checkpoint_cache)
-        clone._stake_arr = self._stake_arr.copy()
         clone._fc_stakes = self._fc_stakes.copy()
         return clone
 
@@ -706,7 +700,11 @@ class Node:
     # Epoch processing
     # ------------------------------------------------------------------
     def active_indices_for_epoch(self, epoch: int) -> Set[int]:
-        """Validators active on this node's chain at ``epoch``.
+        """Validators active on this node's chain at ``epoch``, as a set."""
+        return set(self._active_index_array(epoch).tolist())
+
+    def _active_index_array(self, epoch: int) -> np.ndarray:
+        """Validators active on this node's chain at ``epoch`` (may repeat).
 
         A validator is active if the node saw an attestation from it whose
         target checkpoint matches this chain's checkpoint for the epoch
@@ -716,17 +714,17 @@ class Node:
         """
         columns = self.attestations_by_epoch.get(epoch)
         if not columns:
-            return set()
+            return _NO_VALIDATORS
         local_target = self.checkpoint_of_epoch(epoch)
         target_id = self.pool.flat.lookup_root(local_target.root)
         if target_id is None:
-            return set()
-        return {int(v) for v in columns.voters_for_target_root(target_id)}
+            return _NO_VALIDATORS
+        return columns.voters_for_target_root(target_id)
 
     def process_epoch_end(self, epoch: int) -> EpochReport:
         """Run epoch processing for ``epoch`` on the local state."""
         self.state.current_epoch = epoch
-        active = self.active_indices_for_epoch(epoch)
+        active = self._active_index_array(epoch)
         slashable = self.slashings_observed.get(epoch, set())
         justified_before = self.state.current_justified_checkpoint
         report = process_epoch(
@@ -744,11 +742,7 @@ class Node:
         )
         # Refresh the fork-choice balances snapshot whenever justification advances.
         if self.state.current_justified_checkpoint != justified_before:
-            self._justified_stakes = np.fromiter(
-                (v.stake for v in self.state.validators),
-                dtype=float,
-                count=len(self.state.validators),
-            )
+            self._justified_stakes = self.state.validators.stake.copy()
         self._refresh_view_arrays()
         self._prune_consumed_logs()
         self._prune_inclusion_horizon(epoch)
@@ -779,8 +773,11 @@ class Node:
 
         Non-member cursors (tests may build blocks for arbitrary
         proposers) participate in the floor so rebasing never goes
-        negative.
+        negative.  Cursors are never negative, so with fewer cursors than
+        members some member has none and the floor is 0 without a scan.
         """
+        if len(cursors) < len(self.members):
+            return 0
         return min(
             min((cursors.get(member, 0) for member in self.members), default=0),
             min(cursors.values(), default=0),

@@ -15,9 +15,8 @@ checkpoint-interning adapter over :class:`repro.core.ffg.FlatVotePool`
 :meth:`repro.core.backend.StakeBackend.finality_epoch_update` kernel —
 the same numpy-fast-path / bit-identical-python-reference pair as the
 incentive stages — then replays the returned transitions onto the
-:class:`BeaconState`.  This module only does the registry↔array
-round-trip (still O(n) Python; flat-array callers should drive the
-kernel through :class:`repro.core.FlatVotePool` directly).
+:class:`BeaconState`.  Stakes and eligibility come straight from the
+state's registry columns, so no per-validator Python runs here.
 """
 
 from __future__ import annotations
@@ -150,7 +149,7 @@ class FFGVotePool:
             & (source_roots == source_id)
             & (target_roots == target_id)
         )
-        return {int(validator) for validator in validators[mask]}
+        return set(validators[mask].tolist())
 
     def targets_at_epoch(self, epoch: int) -> Set[Checkpoint]:
         """Distinct target checkpoints voted for at ``epoch``."""
@@ -172,8 +171,7 @@ def link_support(
     epoch: Optional[int] = None,
 ) -> float:
     """Stake supporting the supermajority link ``source → target``."""
-    voters = pool.voters_for_link(source, target)
-    return state.stake_of(sorted(voters), epoch=epoch)
+    return state.stake_of(pool.voters_for_link(source, target), epoch=epoch)
 
 
 def is_supermajority(state: BeaconState, stake: float, epoch: Optional[int] = None) -> bool:
@@ -215,19 +213,12 @@ def process_justification(
 
     registry = state.validators
     n = len(registry)
-    stakes = np.fromiter((v.stake for v in registry), dtype=float, count=n)
-    eligible = np.fromiter((v.is_active(epoch) for v in registry), dtype=bool, count=n)
-    # The kernel indexes stakes/eligible by registry *position*; translate
-    # vote validator indices when the registry order disagrees with
-    # ``Validator.index`` (same mismatch ``apply_slashing`` resolves with
-    # its ``position_of`` map, vectorized here through a lookup table).
-    indices = np.fromiter((v.index for v in registry), dtype=np.int64, count=n)
-    if not np.array_equal(indices, np.arange(n)):
-        positions = np.full(int(indices.max()) + 1, -1, dtype=np.int64)
-        positions[indices] = np.arange(n)
-        vote_validators = positions[vote_validators]
-        if np.any(vote_validators < 0):
-            raise KeyError("vote from a validator index absent from the registry")
+    # The kernel indexes stakes/eligible by registry *position*; the
+    # registry's index column maps vote validator indices there, so a
+    # registry stored out of ``Validator.index`` order still matches.
+    vote_validators = registry.positions_of(vote_validators)
+    if np.any(vote_validators < 0):
+        raise KeyError("vote from a validator index absent from the registry")
 
     # Only the justified checkpoints the votes can actually reference
     # matter: the voted source epochs, plus the processed epoch itself
@@ -246,8 +237,8 @@ def process_justification(
         vote_source_epochs,
         vote_source_roots,
         vote_target_roots,
-        stakes,
-        eligible,
+        registry.stake,
+        registry.active_mask(epoch),
         FinalityRules.from_config(state.config),
         epoch=epoch,
         total_stake=state.total_active_stake(epoch),

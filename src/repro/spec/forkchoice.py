@@ -208,18 +208,17 @@ class Store:
         checkpoint still weigh votes identically and converge.  Inactive
         and slashed validators weigh zero.
         """
-        epoch = state.current_epoch
-        eligible = np.zeros(len(state.validators), dtype=float)
-        for position, validator in enumerate(state.validators):
-            if not validator.is_active(epoch) or validator.slashed:
-                continue
-            if stake_override is not None:
-                eligible[position] = stake_override.get(
-                    validator.index, validator.stake
-                )
-            else:
-                eligible[position] = validator.stake
-        return eligible
+        registry = state.validators
+        stakes = registry.stake
+        if stake_override:
+            positions = registry.positions_of(list(stake_override))
+            known = positions >= 0
+            stakes = stakes.copy()
+            stakes[positions[known]] = np.fromiter(
+                stake_override.values(), dtype=float, count=len(stake_override)
+            )[known]
+        eligible = registry.active_mask(state.current_epoch) & ~registry.slashed
+        return np.where(eligible, stakes, 0.0)
 
     def _vote_weights_from_stakes(
         self, eligible_stakes: np.ndarray

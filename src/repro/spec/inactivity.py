@@ -12,8 +12,8 @@ The update rules implemented here are exactly Equations 1 and 2:
 
 The arithmetic itself lives in :mod:`repro.core.backend` — the shared,
 vectorized stake-dynamics kernel also used by the leak and Monte-Carlo
-layers.  This module adapts the :class:`BeaconState` validator registry to
-the kernel's flat arrays and writes the results back, so the slot-level
+layers.  The kernel reads the :class:`BeaconState` registry columns as
+they are, and its results are copied back into them, so the slot-level
 simulator (:mod:`repro.sim`) exercises the exact same update code as every
 other layer.
 """
@@ -23,14 +23,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.core.backend import StakeBackend, StakeRules, get_backend
 from repro.spec.config import SpecConfig
 from repro.spec.state import BeaconState
-from repro.spec.validator import Validator
 
 
 @dataclass
@@ -45,32 +44,9 @@ class InactivityUpdate:
     inactive_indices: List[int] = field(default_factory=list)
 
 
-def _registry_arrays(
-    state: BeaconState,
-) -> Tuple[List[Validator], np.ndarray, np.ndarray, np.ndarray]:
-    """Flatten the registry into (validators, stakes, scores, ineligible).
-
-    ``ineligible`` plays the kernel's ``ejected`` role: validators already
-    out of the active set are frozen by the update.
-    """
-    validators = list(state.validators)
-    stakes = np.array([v.stake for v in validators], dtype=float)
-    scores = np.array([float(v.inactivity_score) for v in validators], dtype=float)
-    ineligible = np.array(
-        [not v.is_active(state.current_epoch) for v in validators], dtype=bool
-    )
-    return validators, stakes, scores, ineligible
-
-
-def _write_back_scores(validators: Sequence[Validator], scores: np.ndarray) -> None:
-    """Store kernel scores, keeping integral values as ints (spec convention)."""
-    for validator, score in zip(validators, scores.tolist()):
-        validator.inactivity_score = int(score) if score == int(score) else score
-
-
 def update_inactivity_scores(
     state: BeaconState,
-    active_indices: Set[int],
+    active_indices: Iterable[int],
     in_leak: bool,
     backend: Union[str, StakeBackend] = "numpy",
 ) -> None:
@@ -80,13 +56,16 @@ def update_inactivity_scores(
     being processed, i.e. those whose attestation with a correct target was
     included on this chain (Section 4.1).
     """
-    validators, _, scores, ineligible = _registry_arrays(state)
-    active = np.array([v.index in active_indices for v in validators], dtype=bool)
+    registry = state.validators
     rules = StakeRules.from_config(state.config)
     new_scores = get_backend(backend).update_scores(
-        scores, active, ineligible, rules, in_leak
+        registry.inactivity_score,
+        registry.mask_of(active_indices),
+        ~registry.active_mask(state.current_epoch),
+        rules,
+        in_leak,
     )
-    _write_back_scores(validators, new_scores)
+    np.copyto(registry.inactivity_score, new_scores)
 
 
 def apply_inactivity_penalties(
@@ -98,13 +77,15 @@ def apply_inactivity_penalties(
     what the state holds when this is called at the end of epoch processing
     (scores are updated after penalties, matching ``I(t-1)·s(t-1)/2**26``).
     """
-    validators, stakes, scores, ineligible = _registry_arrays(state)
+    registry = state.validators
     rules = StakeRules.from_config(state.config)
     new_stakes, total_penalty = get_backend(backend).apply_penalties(
-        stakes, scores, ineligible, rules
+        registry.stake,
+        registry.inactivity_score,
+        ~registry.active_mask(state.current_epoch),
+        rules,
     )
-    for validator, stake in zip(validators, new_stakes.tolist()):
-        validator.stake = stake
+    np.copyto(registry.stake, new_stakes)
     return total_penalty
 
 
@@ -117,15 +98,13 @@ def eject_low_balance_validators(
     the validator from the active set starting at the next epoch, mirroring
     the paper's treatment in Figure 2 and Section 5.1.
     """
-    validators, stakes, _, ineligible = _registry_arrays(state)
+    registry = state.validators
     rules = StakeRules.from_config(state.config)
-    newly = get_backend(backend).find_ejections(stakes, ineligible, rules)
-    ejected: List[int] = []
-    for position in np.flatnonzero(newly):
-        validator = validators[int(position)]
-        validator.exit(state.current_epoch + 1)
-        ejected.append(validator.index)
-    return ejected
+    newly = get_backend(backend).find_ejections(
+        registry.stake, ~registry.active_mask(state.current_epoch), rules
+    )
+    registry.exit(newly, state.current_epoch + 1)
+    return registry.index[newly].tolist()
 
 
 def process_inactivity_epoch(
@@ -156,27 +135,25 @@ def process_inactivity_epoch(
         Stake-dynamics backend (``"numpy"`` default, ``"python"`` reference).
     """
     leak = state.is_in_inactivity_leak() if in_leak is None else in_leak
-    active_set = set(active_indices)
     update = InactivityUpdate(epoch=state.current_epoch, in_leak=leak)
 
-    validators, stakes, scores, ineligible = _registry_arrays(state)
-    update.inactive_indices = [
-        validator.index
-        for validator, out in zip(validators, ineligible.tolist())
-        if not out and validator.index not in active_set
-    ]
-    active = np.array([v.index in active_set for v in validators], dtype=bool)
+    registry = state.validators
+    active = registry.mask_of(active_indices)
+    ineligible = ~registry.active_mask(state.current_epoch)
+    update.inactive_indices = registry.index[~(ineligible | active)].tolist()
     rules = StakeRules.from_config(state.config)
     outcome = get_backend(backend).epoch_update(
-        stakes, scores, active, ineligible, rules, in_leak=leak
+        registry.stake,
+        registry.inactivity_score,
+        active,
+        ineligible,
+        rules,
+        in_leak=leak,
     )
-    for validator, stake in zip(validators, outcome.stakes.tolist()):
-        validator.stake = stake
-    _write_back_scores(validators, outcome.scores)
-    for position in np.flatnonzero(outcome.newly_ejected):
-        validator = validators[int(position)]
-        validator.exit(state.current_epoch + 1)
-        update.ejected_indices.append(validator.index)
+    np.copyto(registry.stake, outcome.stakes)
+    np.copyto(registry.inactivity_score, outcome.scores)
+    registry.exit(outcome.newly_ejected, state.current_epoch + 1)
+    update.ejected_indices = registry.index[outcome.newly_ejected].tolist()
     update.total_penalty = outcome.total_penalty
     return update
 

@@ -10,11 +10,9 @@ penalties dominate during a leak — but they are part of the protocol and
 keep the "no leak" baseline realistic (stakes stay pinned near 32 ETH).
 The per-validator arithmetic lives in :mod:`repro.core.backend`
 (:meth:`~repro.core.backend.StakeBackend.attestation_rewards_epoch_update`)
-— the same vectorized kernel family as the inactivity leak — and this
-module only adapts the :class:`BeaconState` validator registry to the
-kernel's flat arrays (the registry round-trip itself is still O(n)
-Python; flat-array callers should use :class:`repro.core.StakeEngine`
-directly).
+— the same vectorized kernel family as the inactivity leak — which reads
+the state's registry columns directly; this module only builds the
+activity masks and copies the new stakes back into the stake column.
 """
 
 from __future__ import annotations
@@ -71,28 +69,17 @@ def process_attestation_rewards(
     charged nothing and therefore not listed as penalized.
     """
     leak = state.is_in_inactivity_leak() if in_leak is None else in_leak
-    active_set = set(active_indices)
     summary = RewardSummary(epoch=state.current_epoch)
 
-    validators = list(state.validators)
-    stakes = np.array([v.stake for v in validators], dtype=float)
-    active = np.array([v.index in active_set for v in validators], dtype=bool)
-    ineligible = np.array(
-        [not v.is_active(state.current_epoch) or v.slashed for v in validators],
-        dtype=bool,
-    )
+    registry = state.validators
+    ineligible = ~registry.active_mask(state.current_epoch) | registry.slashed
     rules = RewardRules.from_config(state.config)
     outcome = get_backend(backend).attestation_rewards_epoch_update(
-        stakes, active, ineligible, rules, leak
+        registry.stake, registry.mask_of(active_indices), ineligible, rules, leak
     )
-    for validator, stake in zip(validators, outcome.stakes.tolist()):
-        validator.stake = stake
+    np.copyto(registry.stake, outcome.stakes)
     summary.total_rewards = outcome.total_rewards
     summary.total_penalties = outcome.total_penalties
-    summary.rewarded_indices = [
-        validators[int(i)].index for i in np.flatnonzero(outcome.rewarded)
-    ]
-    summary.penalized_indices = [
-        validators[int(i)].index for i in np.flatnonzero(outcome.penalized)
-    ]
+    summary.rewarded_indices = registry.index[outcome.rewarded].tolist()
+    summary.penalized_indices = registry.index[outcome.penalized].tolist()
     return summary

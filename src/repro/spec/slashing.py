@@ -12,7 +12,7 @@ ejected from the validator set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -302,47 +302,37 @@ def apply_slashing(
     shared kernel (:mod:`repro.core.backend`), which freezes ejected stakes.
 
     The arithmetic runs on the shared flat-array kernel
-    (:meth:`~repro.core.backend.StakeBackend.slashing_epoch_update`); this
-    function adapts the registry and schedules the exits.
+    (:meth:`~repro.core.backend.StakeBackend.slashing_epoch_update`) over
+    the registry columns; this function marks the requested positions and
+    schedules the exits.
     """
     outcome = SlashingOutcome()
-    # De-duplicated target positions, keeping the caller's order for the
+    # De-duplicated target indices, keeping the caller's order for the
     # reported indices (evidence order in detect_and_slash).
-    requested: List[int] = []
-    seen: Set[int] = set()
-    for index in validator_indices:
-        if index not in seen:
-            seen.add(index)
-            requested.append(index)
-    if not requested:
+    requested = np.array(list(dict.fromkeys(validator_indices)), dtype=np.int64)
+    if requested.shape[0] == 0:
         return outcome
 
-    validators = list(state.validators)
-    position_of = {validator.index: pos for pos, validator in enumerate(validators)}
-    stakes = np.array([v.stake for v in validators], dtype=float)
-    slashed = np.array([v.slashed for v in validators], dtype=bool)
-    ineligible = np.array(
-        [not v.is_active(state.current_epoch) for v in validators], dtype=bool
-    )
-    slashable = np.zeros(len(validators), dtype=bool)
-    for index in requested:
-        slashable[position_of[index]] = True
+    registry = state.validators
+    positions = registry.positions_of(requested)
+    if np.any(positions < 0):
+        raise KeyError("slashing a validator index absent from the registry")
+    slashable = np.zeros(len(registry), dtype=bool)
+    slashable[positions] = True
 
     rules = SlashingRules.from_config(state.config)
     kernel_outcome = get_backend(backend).slashing_epoch_update(
-        stakes, slashable, slashed, ineligible, rules
+        registry.stake,
+        slashable,
+        registry.slashed,
+        ~registry.active_mask(state.current_epoch),
+        rules,
     )
-    for validator, stake, is_slashed in zip(
-        validators, kernel_outcome.stakes.tolist(), kernel_outcome.slashed.tolist()
-    ):
-        validator.stake = stake
-        validator.slashed = is_slashed
+    np.copyto(registry.stake, kernel_outcome.stakes)
+    np.copyto(registry.slashed, kernel_outcome.slashed)
     newly = kernel_outcome.newly_slashed
-    for index in requested:
-        position = position_of[index]
-        if newly[position]:
-            validators[position].exit(state.current_epoch + 1)
-            outcome.slashed_indices.append(index)
+    registry.exit(newly, state.current_epoch + 1)
+    outcome.slashed_indices = requested[newly[positions]].tolist()
     outcome.total_penalty = kernel_outcome.total_penalty
     return outcome
 

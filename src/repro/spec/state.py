@@ -3,7 +3,8 @@
 The state tracks, per validator view (one state per node in the simulator,
 or one per branch in branch-level experiments):
 
-* the validator registry (stakes, inactivity scores, exits),
+* the validator registry (stakes, inactivity scores, exits), stored as
+  one :class:`~repro.spec.validator.Registry` of columns,
 * the justified and finalized checkpoints,
 * how many epochs have elapsed since the last finalization, which decides
   whether the chain is in an inactivity leak (Section 3.3 / Section 4).
@@ -12,11 +13,11 @@ or one per branch in branch-level experiments):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Set, Union
 
 from repro.spec.checkpoint import Checkpoint, GENESIS_CHECKPOINT
 from repro.spec.config import SpecConfig
-from repro.spec.validator import Validator, total_stake
+from repro.spec.validator import Registry, Validator, ValidatorRow, ordered_sum
 
 
 @dataclass
@@ -24,7 +25,9 @@ class BeaconState:
     """Mutable protocol state as perceived along one chain."""
 
     config: SpecConfig
-    validators: List[Validator]
+    #: The registry columns.  Detached :class:`Validator` records (or
+    #: another state's registry) passed here are copied into new columns.
+    validators: Registry
     #: Current epoch being processed.
     current_epoch: int = 0
     #: Most recently justified checkpoint.
@@ -48,34 +51,42 @@ class BeaconState:
     last_finalized_epoch: int = 0
 
     def __post_init__(self) -> None:
-        if not self.validators:
+        self.validators = Registry.of(self.validators)
+        if not len(self.validators):
             raise ValueError("BeaconState requires at least one validator")
 
     # ------------------------------------------------------------------
     # Registry helpers
     # ------------------------------------------------------------------
-    def validator(self, index: int) -> Validator:
-        """Return the validator with registry ``index``."""
+    def validator(self, index: int) -> ValidatorRow:
+        """Return the validator at registry position ``index``."""
         return self.validators[index]
 
-    def active_validators(self, epoch: Optional[int] = None) -> List[Validator]:
+    def active_validators(self, epoch: Optional[int] = None) -> List[ValidatorRow]:
         """Validators that are part of the active set at ``epoch``."""
         at_epoch = self.current_epoch if epoch is None else epoch
-        return [v for v in self.validators if v.is_active(at_epoch)]
+        registry = self.validators
+        return [registry[p] for p in registry.active_mask(at_epoch).nonzero()[0].tolist()]
 
+    # The stake totals below add in registry order, one validator after
+    # the other (``ordered_sum``), so they are the same floats on every
+    # interpreter and numpy version.
     def total_active_stake(self, epoch: Optional[int] = None) -> float:
         """Total stake of active validators at ``epoch``."""
         at_epoch = self.current_epoch if epoch is None else epoch
-        return total_stake(self.validators, at_epoch)
+        registry = self.validators
+        return ordered_sum(registry.stake[registry.active_mask(at_epoch)])
 
-    def stake_of(self, indices: Sequence[int], epoch: Optional[int] = None) -> float:
-        """Combined stake of the active validators with the given indices."""
+    def stake_of(self, indices: Iterable[int], epoch: Optional[int] = None) -> float:
+        """Combined stake of the active validators with the given indices.
+
+        Each validator counts once, whatever the order or repetition of
+        ``indices``; indices absent from the registry are ignored.
+        """
         at_epoch = self.current_epoch if epoch is None else epoch
-        return sum(
-            self.validators[i].stake
-            for i in indices
-            if self.validators[i].is_active(at_epoch)
-        )
+        registry = self.validators
+        chosen = registry.mask_of(indices) & registry.active_mask(at_epoch)
+        return ordered_sum(registry.stake[chosen])
 
     def byzantine_stake_proportion(self, epoch: Optional[int] = None) -> float:
         """Proportion of active stake held by validators labelled byzantine."""
@@ -83,12 +94,9 @@ class BeaconState:
         total = self.total_active_stake(at_epoch)
         if total == 0:
             return 0.0
-        byz = sum(
-            v.stake
-            for v in self.validators
-            if v.label == "byzantine" and v.is_active(at_epoch)
-        )
-        return byz / total
+        registry = self.validators
+        byzantine = (registry.label == "byzantine") & registry.active_mask(at_epoch)
+        return ordered_sum(registry.stake[byzantine]) / total
 
     # ------------------------------------------------------------------
     # Finality / leak bookkeeping
@@ -134,30 +142,22 @@ class BeaconState:
     # ------------------------------------------------------------------
     @classmethod
     def genesis(
-        cls, validators: List[Validator], config: Optional[SpecConfig] = None
+        cls,
+        validators: Union[Registry, Iterable[Validator]],
+        config: Optional[SpecConfig] = None,
     ) -> "BeaconState":
         """Return a fresh state at epoch 0 with the genesis checkpoint finalized."""
         return cls(config=config or SpecConfig.mainnet(), validators=validators)
 
-    def copy_registry(self) -> List[Validator]:
-        """Deep-copy the validator registry (used to fork a state per branch)."""
-        return [
-            Validator(
-                index=v.index,
-                stake=v.stake,
-                inactivity_score=v.inactivity_score,
-                slashed=v.slashed,
-                exit_epoch=v.exit_epoch,
-                label=v.label,
-            )
-            for v in self.validators
-        ]
+    def copy_registry(self) -> Registry:
+        """An independent copy of the registry columns (one per branch)."""
+        return self.validators.copy()
 
     def fork(self) -> "BeaconState":
         """Return an independent copy of this state (used when a branch splits)."""
-        forked = BeaconState(
+        return BeaconState(
             config=self.config,
-            validators=self.copy_registry(),
+            validators=self.validators,
             current_epoch=self.current_epoch,
             current_justified_checkpoint=self.current_justified_checkpoint,
             previous_justified_checkpoint=self.previous_justified_checkpoint,
@@ -167,4 +167,3 @@ class BeaconState:
             finalized_checkpoints=dict(self.finalized_checkpoints),
             last_finalized_epoch=self.last_finalized_epoch,
         )
-        return forked

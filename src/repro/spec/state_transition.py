@@ -15,15 +15,15 @@ module, so the paper's mechanisms are exercised by a single implementation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Set, Union
+from typing import Iterable, List, Optional, Union
 
 from repro.core.backend import StakeBackend, get_backend
-from repro.spec.checkpoint import Checkpoint
 from repro.spec.finality import FFGVotePool, JustificationResult, process_justification
 from repro.spec.inactivity import InactivityUpdate, process_inactivity_epoch
 from repro.spec.rewards import RewardSummary, process_attestation_rewards
 from repro.spec.slashing import SlashingOutcome, apply_slashing
 from repro.spec.state import BeaconState
+from repro.spec.validator import as_index_array
 
 
 @dataclass
@@ -44,12 +44,12 @@ class EpochReport:
     active_stake_ratio: float = 0.0
 
 
-def active_stake_ratio(state: BeaconState, active_indices: Set[int]) -> float:
+def active_stake_ratio(state: BeaconState, active_indices: Iterable[int]) -> float:
     """Stake of validators active this epoch over the total active stake."""
     total = state.total_active_stake()
     if total <= 0:
         return 0.0
-    return state.stake_of(sorted(active_indices)) / total
+    return state.stake_of(active_indices) / total
 
 
 def process_epoch(
@@ -85,7 +85,7 @@ def process_epoch(
     """
     at_epoch = state.current_epoch if epoch is None else epoch
     state.current_epoch = at_epoch
-    active_set = set(active_indices)
+    active = as_index_array(active_indices)
     kernel = get_backend(backend, population=len(state.validators))
 
     # The leak flag is evaluated before this epoch's justification result,
@@ -94,14 +94,14 @@ def process_epoch(
 
     justification = process_justification(state, pool, at_epoch, backend=kernel)
     rewards = process_attestation_rewards(
-        state, active_set, in_leak=in_leak, backend=kernel
+        state, active, in_leak=in_leak, backend=kernel
     )
     inactivity = process_inactivity_epoch(
-        state, active_set, in_leak=in_leak, backend=kernel
+        state, active, in_leak=in_leak, backend=kernel
     )
     slashing = apply_slashing(state, slashable_indices, backend=kernel)
 
-    ratio = active_stake_ratio(state, active_set)
+    ratio = active_stake_ratio(state, active)
     report = EpochReport(
         epoch=at_epoch,
         in_leak=in_leak,

@@ -153,3 +153,61 @@ class TestBouncingAttack:
         )
         result = engine.run(5)
         assert result.transport_stats.withheld > 0
+
+
+class TestEpochStartHook:
+    """Only agents whose class overrides ``on_epoch_start`` are called."""
+
+    #: Digest of the snapshots and view events of the run below, recorded
+    #: when every agent still got a context at every epoch start.  The
+    #: finalizer's hook steers its votes, so a skipped hook changes it.
+    DIGEST = "542b4026ab6b3d455853733b1722f2cb"
+
+    def test_overriding_agents_get_their_hook_every_epoch(self, monkeypatch):
+        import hashlib
+
+        from repro.agents.base import ValidatorAgent
+        from repro.agents.byzantine import AlternatingAgent
+
+        inherited, calls = [], []
+        monkeypatch.setattr(
+            ValidatorAgent, "on_epoch_start", lambda agent, ctx: inherited.append(ctx)
+        )
+        original = AlternatingAgent.on_epoch_start
+
+        def recording(agent, ctx):
+            calls.append(ctx)
+            original(agent, ctx)
+
+        monkeypatch.setattr(AlternatingAgent, "on_epoch_start", recording)
+        engine = build_partitioned_simulation(
+            n_validators=24,
+            p0=0.5,
+            byzantine_fraction=0.25,
+            byzantine_strategy="alternating-finalizer",
+            gst_epoch=6,
+            seed="epoch-start-hook",
+        )
+        epochs = 10
+        result = engine.run(epochs)
+
+        history = repr((result.snapshots, result.view_events)).encode()
+        assert hashlib.blake2b(history, digest_size=16).hexdigest() == self.DIGEST
+        assert not inherited  # honest agents inherit the no-op: no context
+        byzantine = engine.byzantine_indices()
+        assert len(calls) == epochs * len(byzantine)
+        slots = engine.config.slots_per_epoch
+        for k, ctx in enumerate(calls):
+            epoch, index = divmod(k, len(byzantine))
+            slot = epoch * slots
+            duties = engine.scheduler.duties_for_epoch(epoch, engine.registry)
+            assert ctx.validator_index == byzantine[index]
+            assert (ctx.slot, ctx.epoch) == (slot, epoch)
+            assert ctx.time == engine.clock.start_of_slot(slot)
+            assert ctx.node is engine.nodes[ctx.validator_index]
+            assert ctx.duties is duties
+            assert ctx.is_proposer == (duties.proposers[0] == ctx.validator_index)
+            assert ctx.is_attester == (
+                ctx.validator_index in duties.attestation_committees[0]
+            )
+            assert ctx.partition_names == tuple(engine.schedule.partition_names())
