@@ -21,6 +21,11 @@ targeted sends.  The split path must keep the >=10x margin over per-node,
 and the 10k preset must complete in seconds with a bounded (O(branches),
 not O(N)) peak group count and a horizon-bounded attestation backlog.
 
+A stage benchmark times ``GossipPropagation.delivery_times`` for a bound
+10k model over 32 slots of block and attestation messages: phase settling
+from hop-count bounds against sampling every recipient (the oracle), with
+identical arrays asserted and the speedup gated.
+
 A long-horizon record runs the 64-validator double-voting partition for
 25 and for 200 epochs and stores each run's ms/epoch — how an epoch's
 cost grows with the horizon — next to pinned digests of its results.
@@ -38,9 +43,12 @@ import os
 import pathlib
 import time
 
+import numpy as np
 import pytest
 
-from repro.network.latency import GossipPropagation
+from repro.network.latency import GossipPropagation, quantize_to_phase
+from repro.network.message import Message, MessageKind
+from repro.network.partition import PartitionSchedule
 from repro.sim.node import INCLUSION_HORIZON_EPOCHS
 from repro.sim.scenarios import (
     build_balancing_attack_simulation,
@@ -48,6 +56,7 @@ from repro.sim.scenarios import (
     build_partitioned_simulation,
     build_preset,
 )
+from repro.spec.block import BeaconBlock
 from repro.spec.config import SpecConfig
 
 SMALL = 512
@@ -275,6 +284,97 @@ def test_gossip_latency_at_mainnet_scale_completes_in_seconds(bench_record):
     )
     # ~1.5s measured on a 2-core x86_64 VM.
     assert elapsed < 60.0
+
+
+#: Phase settling must beat full sampling by at least this factor
+#: (measured 2.6-3.2x on a 2-core x86_64 VM: ~0.5 vs ~1.4 ms/message).
+MIN_SETTLED_SPEEDUP = 1.25
+
+
+def test_gossip_delivery_times_stage(bench_record):
+    """``delivery_times`` at 10k validators: settled phases vs full sampling.
+
+    A bound 10k ``GossipPropagation`` at ``GOSSIP_HOP_DELAY`` on the
+    mainnet phase grid answers a block and an attestation per slot for 32
+    slots, each to every validator.  The settled path samples only the
+    recipients whose hop-count bounds straddle a phase boundary; the
+    oracle samples all of them and quantizes.  The arrays must be
+    identical.  Each message has a new gossip origin, so both paths pay
+    one BFS per message, which is kept out of the timed region.
+    """
+    n, slots = LARGE, 32
+    seconds_per_slot = SpecConfig.mainnet().seconds_per_slot
+    model = GossipPropagation(hop_delay=GOSSIP_HOP_DELAY, seed=1).bind(
+        PartitionSchedule.fully_connected(), range(n), seconds_per_slot=seconds_per_slot
+    )
+    recipients = np.arange(n)
+    messages = []
+    for slot in range(slots):
+        sent_at = slot * seconds_per_slot
+        messages.append(
+            Message.block(BeaconBlock.genesis(), sender=(slot * 211) % n, sent_at=sent_at)
+        )
+        vote_at = sent_at + seconds_per_slot / 3
+        messages.append(Message(MessageKind.ATTESTATION, None, (slot * 97) % n, vote_at))
+
+    def settled(message):
+        return model.delivery_times(message, recipients, message.sent_at)[0]
+
+    def full_sampling(message):
+        avail = model.availability(message.sender, recipients, message.sent_at)
+        raw = avail + model._latencies(message, recipients, message.sent_at)
+        return quantize_to_phase(raw, seconds_per_slot)
+
+    def best_ms_per_message(path, repeats=3):
+        best = float("inf")
+        for _ in range(repeats):
+            elapsed, out = 0.0, []
+            for message in messages:
+                # The BFS is its own stage (``hops_from``): run it untimed,
+                # so both paths read the memoized distances.
+                model.hops_from(model._origin_for(message, message.sent_at))
+                start = time.perf_counter()
+                out.append(path(message))
+                elapsed += time.perf_counter() - start
+            best = min(best, elapsed)
+        return 1e3 * best / len(messages), out
+
+    settled_ms, settled_times = best_ms_per_message(settled)
+    full_ms, full_times = best_ms_per_message(full_sampling)
+    for got, expected in zip(settled_times, full_times):
+        assert got.tobytes() == expected.tobytes()
+    # Count the rows the settled path still samples.
+    sampled = []
+    hop_latencies = model._hop_latencies
+    model._hop_latencies = lambda key, ids, hops: (
+        sampled.append(len(ids)) or hop_latencies(key, ids, hops)
+    )
+    for message in messages:
+        settled(message)
+    settled_fraction = 1.0 - sum(sampled) / (len(messages) * n)
+    speedup = full_ms / settled_ms
+    bench_record(
+        RESULTS_PATH,
+        {
+            "gossip_delivery_times_10k": {
+                "n_validators": n,
+                "slots": slots,
+                "messages": len(messages),
+                "hop_delay": list(GOSSIP_HOP_DELAY),
+                "settled_ms_per_message": settled_ms,
+                "full_sampling_ms_per_message": full_ms,
+                "speedup": speedup,
+                "settled_fraction": settled_fraction,
+            },
+        },
+    )
+    print(
+        f"\ngossip delivery_times @10k: settled {settled_ms:.2f} ms/message, "
+        f"full sampling {full_ms:.2f} ms/message ({speedup:.1f}x), "
+        f"{100 * settled_fraction:.1f}% of recipients settled"
+    )
+    assert settled_fraction > 0.5
+    assert speedup >= MIN_SETTLED_SPEEDUP
 
 
 def _double_voting_partition():

@@ -41,12 +41,31 @@ identical message stream, and only divergence *past a boundary* forces a
 copy-on-write view split (see ``Network._schedule_modeled``).
 :class:`UniformDelay` never quantizes — its schedule is the exact legacy
 computation.
+
+Because only the phase is observed, most samples need never be drawn.
+A model may state, per recipient, a range ``[low, high]`` that its
+sampled latency cannot leave (:meth:`LatencyModel._latency_bounds`):
+``k*(hop_min, hop_max)`` for a recipient ``k`` gossip hops away,
+``(base, base + jitter)`` for :class:`FixedJitter`.
+:func:`quantize_to_phase` is monotone non-decreasing, so when
+``avail + low - eps`` and ``avail + high + eps`` round to the same phase
+every arrival in between does too, and that phase is the delivery time
+without hashing anything.  ``eps`` (``1e-9`` s plus ``1e-12`` of the
+arrival time) covers the rounding of a ``k``-term float sum added to the
+send time, up to leak horizons of ~1.8e6 s.  When the whole audience
+shares one start time, each latency class (a hop count) is settled
+once rather than per recipient.  Only recipients whose range
+straddles a boundary are sampled, with the model's own
+:meth:`~LatencyModel._latencies`, so the result is bit-identical to
+quantizing a full sample.  Without a phase grid nothing is settled: the
+raw path samples every recipient, and it is the oracle of the settled
+one.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -137,6 +156,19 @@ def quantize_to_phase(times: np.ndarray, seconds_per_slot: float) -> np.ndarray:
     )
 
 
+def _settle_margin(times: np.ndarray) -> np.ndarray:
+    """Float slack of a bounded arrival time (see "Phase quantization")."""
+    return 1e-9 + 1e-12 * np.abs(times)
+
+
+#: ``(classes, low, high, sample)`` from :meth:`LatencyModel._latency_bounds`:
+#: recipient ``i`` samples a latency in ``[low[classes[i]], high[classes[i]]]``,
+#: and ``sample(rows)`` returns the latencies of ``recipients[rows]``.
+LatencyBounds = Tuple[
+    np.ndarray, np.ndarray, np.ndarray, Callable[[np.ndarray], np.ndarray]
+]
+
+
 # ----------------------------------------------------------------------
 # Model hierarchy
 # ----------------------------------------------------------------------
@@ -210,7 +242,10 @@ class LatencyModel:
         codes = self._part_code
         sender_code = codes[sender] if 0 <= sender < len(codes) else -1
         r = np.asarray(recipients, dtype=np.int64)
-        r_codes = np.where(r < len(codes), codes[np.minimum(r, len(codes) - 1)], -1)
+        # Indices outside the code table (negative ones included) are
+        # unknown validators, treated like bridges.
+        known = (r >= 0) & (r < len(codes))
+        r_codes = np.where(known, codes[np.where(known, r, 0)], -1)
         reachable = (
             (r == sender)
             | (sender_code < 0)
@@ -235,6 +270,17 @@ class LatencyModel:
         """Per-recipient propagation latencies (seconds), to be sampled."""
         raise NotImplementedError
 
+    def _latency_bounds(
+        self, message: Message, recipients: np.ndarray, available_at: float
+    ) -> Optional[LatencyBounds]:
+        """Ranges the sampled latencies cannot leave, or ``None`` if unknown.
+
+        A model that returns bounds lets :meth:`delivery_times` settle a
+        recipient's phase without sampling it; ``sample`` must then equal
+        :meth:`_latencies` on the selected rows bit for bit.
+        """
+        return None
+
     def delivery_times(
         self,
         message: Message,
@@ -245,15 +291,35 @@ class LatencyModel:
 
         ``availability`` is the partition-gated start time (send time or
         GST); the delivery time adds the sampled latency and — when a
-        phase grid is bound — rounds up to the next phase boundary.
+        phase grid is bound — rounds up to the next phase boundary.  On
+        the phase grid, recipients whose latency bounds settle the phase
+        are not sampled (module docstring, "Phase quantization").
         """
         self._require_bound()
         recipients = np.asarray(recipients, dtype=np.int64)
         avail = self.availability(message.sender, recipients, available_at)
-        raw = avail + self._latencies(message, recipients, float(available_at))
-        if self.seconds_per_slot is not None:
-            return quantize_to_phase(raw, self.seconds_per_slot), avail
-        return raw, avail
+        available_at = float(available_at)
+        grid = self.seconds_per_slot
+        if grid is None:
+            return avail + self._latencies(message, recipients, available_at), avail
+        bounds = self._latency_bounds(message, recipients, available_at)
+        if bounds is None:
+            raw = avail + self._latencies(message, recipients, available_at)
+            return quantize_to_phase(raw, grid), avail
+        classes, low, high, sample = bounds
+        if len(avail) and (avail == avail[0]).all():
+            # One start time: settle each latency class once.
+            early, late = avail[0] + low, avail[0] + high
+        else:
+            early, late = avail + low[classes], avail + high[classes]
+            classes = np.arange(len(avail))
+        settled = quantize_to_phase(late + _settle_margin(late), grid)
+        open_class = quantize_to_phase(early - _settle_margin(early), grid) != settled
+        times = settled[classes]
+        rows = np.flatnonzero(open_class[classes])
+        if len(rows):
+            times[rows] = quantize_to_phase(avail[rows] + sample(rows), grid)
+        return times, avail
 
 
 class UniformDelay(LatencyModel):
@@ -308,6 +374,16 @@ class FixedJitter(LatencyModel):
     ) -> np.ndarray:
         key = self._message_key(message, available_at)
         return self.base + hashed_uniform(key, recipients) * self.jitter
+
+    def _latency_bounds(
+        self, message: Message, recipients: np.ndarray, available_at: float
+    ) -> LatencyBounds:
+        return (
+            np.zeros(len(recipients), dtype=np.intp),
+            np.array([self.base]),
+            np.array([self.base + self.jitter]),
+            lambda rows: self._latencies(message, recipients[rows], available_at),
+        )
 
 
 class LogNormalLatency(LatencyModel):
@@ -504,26 +580,35 @@ class GossipPropagation(LatencyModel):
         draw = _mix_scalar(self.seed, 0xA77E57, _time_bits(available_at))
         return self.indices[draw % len(self.indices)]
 
-    def _latencies(
+    def _positions_of(self, recipients: np.ndarray) -> np.ndarray:
+        """Overlay positions of ``recipients``, rejecting unbound ones by name."""
+        position = self._position
+        # Negative indices would silently wrap to the highest validators,
+        # and unbound ones map to position -1.
+        if not len(recipients) or (
+            recipients.min() >= 0 and recipients.max() < len(position)
+        ):
+            positions = position[recipients]
+            if not len(positions) or positions.min() >= 0:
+                return positions
+        unbound = sorted(set(recipients.tolist()) - set(self.indices))
+        raise ValueError(f"recipients not bound to the gossip overlay: {unbound}")
+
+    def _hops_of(
         self, message: Message, recipients: np.ndarray, available_at: float
     ) -> np.ndarray:
+        """Hops each recipient pays: its overlay distance, at least one."""
         hops_by_position = self.hops_from(self._origin_for(message, available_at))
-        try:
-            positions = self._position[recipients]
-        except IndexError:
-            positions = None
-        # Unbound indices map to position -1, which numpy would silently
-        # read as the last validator's distance.
-        if positions is None or (len(positions) and positions.min() < 0):
-            unbound = sorted(set(recipients.tolist()) - set(self.indices))
-            raise ValueError(f"recipients not bound to the gossip overlay: {unbound}")
         # The ring keeps the overlay connected, so every distance is set.
-        hops = hops_by_position[positions]
         # The origin pays one hop too (local validation + publish): a
         # zero-latency self-delivery would otherwise split the origin out
         # of its view group on every single message.
-        hops = np.maximum(hops, 1)
-        key = self._message_key(message, available_at)
+        return np.maximum(hops_by_position[self._positions_of(recipients)], 1)
+
+    def _hop_latencies(
+        self, key: int, recipients: np.ndarray, hops: np.ndarray
+    ) -> np.ndarray:
+        """Sum of ``hops`` per-hop delays per recipient, hashed per hop level."""
         lo, hi = self.hop_delay
         latency = np.zeros(len(recipients), dtype=np.float64)
         max_hops = int(hops.max()) if len(hops) else 0
@@ -534,6 +619,30 @@ class GossipPropagation(LatencyModel):
             u = hashed_uniform(_mix_scalar(key, hop), recipients)
             latency += np.where(live, lo + u * (hi - lo), 0.0)
         return latency
+
+    def _latencies(
+        self, message: Message, recipients: np.ndarray, available_at: float
+    ) -> np.ndarray:
+        return self._hop_latencies(
+            self._message_key(message, available_at),
+            recipients,
+            self._hops_of(message, recipients, available_at),
+        )
+
+    def _latency_bounds(
+        self, message: Message, recipients: np.ndarray, available_at: float
+    ) -> LatencyBounds:
+        # The latency class is the hop count k, bounded by k*(lo, hi).
+        hops = self._hops_of(message, recipients, available_at)
+        key = self._message_key(message, available_at)
+        lo, hi = self.hop_delay
+        count = np.arange(int(hops.max()) + 1 if len(hops) else 1, dtype=np.float64)
+        return (
+            hops,
+            count * lo,
+            count * hi,
+            lambda rows: self._hop_latencies(key, recipients[rows], hops[rows]),
+        )
 
 
 # ----------------------------------------------------------------------

@@ -109,10 +109,12 @@ class Network:
         """Install the engine's view-group resolution hooks.
 
         ``members_of(endpoint)`` lists the validators behind a delivery
-        endpoint; ``exact_audience(validators)`` returns endpoints
-        covering exactly those validators, splitting partially-covered
-        view groups first.  Only the modeled (non-uniform latency)
-        scheduling path consults these.
+        endpoint (an int64 array is used without a copy, so the engine
+        returns each view's cached ``member_array``);
+        ``exact_audience(validators)`` returns endpoints covering exactly
+        those validators, splitting partially-covered view groups first.
+        Only the modeled (non-uniform latency) scheduling path consults
+        these.
         """
         self._members_of = members_of
         self._exact_audience = exact_audience
@@ -253,22 +255,21 @@ class Network:
         # A delivery counts as latency-delayed when the model pushed it
         # past where the uniform-delay rule would have landed it *on the
         # same phase grid* — quantization alone is not a model delay.
-        bound = avail + self.schedule.delta
+        # Members that all start together share one bound.
+        start = avail[:1] if (avail == avail[0]).all() else avail
+        bound = start + self.schedule.delta
         if model.seconds_per_slot is not None:
             bound = quantize_to_phase(bound, model.seconds_per_slot)
         self.stats.latency_delayed += int(np.count_nonzero(times > bound))
-        unique_times = np.unique(times)
-        if len(unique_times) == 1:
+        if (times == times[0]).all():
             heapq.heappush(
                 self._queue,
-                Delivery(
-                    message=message, recipient=recipient, deliver_at=float(unique_times[0])
-                ),
+                Delivery(message=message, recipient=recipient, deliver_at=float(times[0])),
             )
             return
         buckets: List[Tuple[float, Tuple[int, ...]]] = []
-        for bucket_time in unique_times:
-            bucket_members = tuple(int(m) for m in members[times == bucket_time])
+        for bucket_time in np.unique(times):
+            bucket_members = tuple(members[times == bucket_time].tolist())
             endpoints = self._exact_audience(bucket_members)
             buckets.append((float(bucket_time), endpoints))
         for deliver_at, endpoints in buckets:

@@ -168,7 +168,7 @@ class SimulationEngine:
             latency_model=self.latency_model,
         )
         self.network.set_view_hooks(
-            lambda endpoint: self._view_by_endpoint[endpoint].members,
+            lambda endpoint: self._view_by_endpoint[endpoint].member_array,
             self._ensure_exact_audience,
         )
         byzantine_indices = {

@@ -203,10 +203,7 @@ class Node:
         members: Optional[Sequence[int]] = None,
     ) -> None:
         self.validator_index = validator_index
-        #: Validators sharing this view (representative first by convention).
-        self.members: Tuple[int, ...] = (
-            tuple(members) if members is not None else (validator_index,)
-        )
+        self.members = members if members is not None else (validator_index,)
         self.config = config or SpecConfig.mainnet()
         #: Stake-dynamics kernel driving this node's epoch processing
         #: (FFG justification, rewards, inactivity and slashing all run
@@ -267,6 +264,18 @@ class Node:
     def stake_array(self) -> np.ndarray:
         """Current per-validator stakes: the registry's stake column (read-only)."""
         return self.state.validators.stake
+
+    @property
+    def members(self) -> Tuple[int, ...]:
+        """Validators sharing this view (representative first by convention)."""
+        return self._members
+
+    @members.setter
+    def members(self, members: Sequence[int]) -> None:
+        self._members = tuple(members)
+        #: The same members as a read-only int64 array, for the transport.
+        self.member_array = np.array(self._members, dtype=np.int64)
+        self.member_array.flags.writeable = False
 
     # ------------------------------------------------------------------
     # Per-member views

@@ -10,7 +10,10 @@ BFS; a faster implementation has to reproduce them exactly:
   over block and attestation messages at 20 send times, half of them
   before GST across a two-way partition.  One digest is taken on the
   engine's phase grid and one on raw times: phase rounding absorbs most
-  hop-count differences, so only the raw digest sees every distance;
+  hop-count differences, so only the raw digest sees every distance.
+  The phase grid now settles most recipients from hop-count bounds
+  without sampling them, so the raw digest also pins the full-sampling
+  path that is the oracle of that shortcut;
 * the transport counters, finalized epoch and peak view count of
   512-validator honest slot simulations under gossip latency.
 """

@@ -169,6 +169,14 @@ class TestAvailabilityGating:
         )
         assert np.all(times >= avail)
 
+    def test_negative_recipient_does_not_wrap_to_the_last_validator(self):
+        # Validator 29, the last bound one, is in branch-2; an unknown
+        # index is reachable like a bridge, never read as validator 29.
+        schedule = split_schedule()
+        model = FixedJitter(seed=1).bind(schedule, range(30))
+        avail = model.availability(0, np.array([-1, 29, 45]), available_at=10.0)
+        assert avail.tolist() == [10.0, schedule.gst, 10.0]
+
     def test_unbound_model_refuses_to_sample(self):
         with pytest.raises(RuntimeError, match="bound"):
             FixedJitter().delivery_times(block_message(), [0, 1], 0.0)
@@ -398,6 +406,17 @@ class TestGossipPropagation:
         with pytest.raises(ValueError, match=r"\[5\]"):
             model.delivery_times(block_message(sender=0), [4, 5, 6], available_at=0.0)
 
+    @pytest.mark.parametrize("grid", [T, None], ids=["phase-grid", "raw"])
+    def test_negative_recipient_is_rejected_by_name(self, grid):
+        # -1 would otherwise wrap to the highest index's position.
+        model = GossipPropagation(degree=4, seed=4).bind(
+            flat_schedule(), range(100), seconds_per_slot=grid
+        )
+        with pytest.raises(ValueError, match=r"\[-1\]"):
+            model.delivery_times(block_message(sender=0), [-1], available_at=0.0)
+        with pytest.raises(ValueError, match=r"\[-3, 100\]"):
+            model.delivery_times(block_message(sender=0), [4, -3, 100], available_at=0.0)
+
     def test_recipient_above_the_largest_index_is_rejected_by_name(self):
         model = GossipPropagation(degree=4, seed=4).bind(flat_schedule(), range(10))
         with pytest.raises(ValueError, match=r"\[12\]"):
@@ -499,3 +518,178 @@ class TestGossipOverlay:
         expected = set_based_overlay(n, degree, seed=n + degree)
         assert model._neighbors.dtype == expected.dtype
         assert model._neighbors.tobytes() == expected.tobytes()
+
+
+def full_sampling(model: LatencyModel, message: Message, recipients, available_at):
+    """The oracle of phase settling: sample every recipient, then quantize."""
+    recipients = np.asarray(recipients, dtype=np.int64)
+    avail = model.availability(message.sender, recipients, available_at)
+    raw = avail + model._latencies(message, recipients, float(available_at))
+    return quantize_to_phase(raw, model.seconds_per_slot), avail
+
+
+def assert_settled_matches_full_sampling(model, message, recipients, available_at):
+    times, avail = model.delivery_times(message, recipients, available_at)
+    expected, expected_avail = full_sampling(model, message, recipients, available_at)
+    assert avail.tobytes() == expected_avail.tobytes()
+    assert times.tobytes() == expected.tobytes()
+
+
+def wide_split_schedule(n: int, gst: float) -> PartitionSchedule:
+    """Two partitions of ``n`` validators with a few bridges at the top."""
+    cut, top = (n * 9) // 20, (n * 9) // 10
+    return PartitionSchedule(
+        partitions=(
+            Partition("branch-1", frozenset(range(0, cut))),
+            Partition("branch-2", frozenset(range(cut, top))),
+        ),
+        gst=gst,
+        delta=2.0,
+    )
+
+
+def phase_messages(send_times, n: int):
+    """A block and an attestation at each send time."""
+    for i, sent_at in enumerate(send_times):
+        sender = (i * 37) % n
+        yield Message.block(BeaconBlock.genesis(), sender=sender, sent_at=sent_at)
+        yield attestation_message(sender=sender, sent_at=sent_at)
+
+
+#: Hop delays whose multiples land exactly on ``T/3`` or ``T``: 2*2.0 and
+#: 4*1.0 are ``T/3``, 6*2.0 and 12*1.0 are ``T``.  Degenerate ranges make
+#: every sample a k-term sum that may round across the product ``k*lo``.
+BOUNDARY_HOP_DELAYS = [
+    (1.0, 2.0),
+    (2.0, 4.0),
+    (0.0, 4.0),
+    (4.0, 4.0),
+    (1.0, 1.0),
+    (4.0 / 3.0, 4.0 / 3.0),
+    (0.1, 0.1),
+    (0.4, 0.4),
+    (0.3, 0.6),
+]
+
+#: Send times on phase boundaries, just off them, and near 1e6 s (a leak
+#: horizon's scale, where one ulp of the time is ~1e-10 s).
+BOUNDARY_SEND_TIMES = [
+    0.0,
+    T / 3,
+    T,
+    5 * T + T / 3,
+    7 * T - 1e-9,
+    83_333 * T,
+    83_333 * T + T / 3,
+    1e6 - 4.0,
+    1e6,
+    150_000 * T + T / 3,
+]
+
+
+class TestSettledPhases:
+    """Phase settling from latency bounds equals sampling every recipient."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        degree=st.integers(2, 10),
+        lo=st.floats(0.0, 3.0),
+        spread=st.floats(0.0, 3.0),
+        seed=st.integers(0, 2 ** 32 - 1),
+        slot=st.integers(0, 100),
+        offset=st.one_of(
+            st.sampled_from([0.0, T / 3]), st.floats(0.0, T, exclude_max=True)
+        ),
+        gst_slot=st.integers(0, 100),
+        partitioned=st.booleans(),
+    )
+    def test_gossip_matches_full_sampling(
+        self, degree, lo, spread, seed, slot, offset, gst_slot, partitioned
+    ):
+        n = 150
+        schedule = (
+            wide_split_schedule(n, gst=gst_slot * T) if partitioned else flat_schedule()
+        )
+        model = GossipPropagation(
+            degree=degree, hop_delay=(lo, lo + spread), seed=seed
+        ).bind(schedule, range(n), seconds_per_slot=T)
+        for message in phase_messages([slot * T + offset], n):
+            assert_settled_matches_full_sampling(
+                model, message, np.arange(n), message.sent_at
+            )
+
+    @pytest.mark.parametrize("partitioned", [False, True], ids=["flat", "split"])
+    @pytest.mark.parametrize("hop_delay", BOUNDARY_HOP_DELAYS, ids=str)
+    def test_gossip_on_boundary_grids(self, hop_delay, partitioned):
+        # Degree 2 is the bare ring: hop counts run up to n/2.
+        n = 97
+        gst = 83_333 * T + T / 3
+        schedule = wide_split_schedule(n, gst=gst) if partitioned else flat_schedule()
+        for degree in (2, 6):
+            model = GossipPropagation(degree=degree, hop_delay=hop_delay, seed=5).bind(
+                schedule, range(n), seconds_per_slot=T
+            )
+            for message in phase_messages(BOUNDARY_SEND_TIMES, n):
+                assert_settled_matches_full_sampling(
+                    model, message, np.arange(n), message.sent_at
+                )
+
+    @pytest.mark.parametrize(
+        "base,jitter",
+        [(1.0, 3.0), (4.0, 0.0), (0.0, 4.0), (0.0, 12.0), (2.0, 10.0), (0.2, 0.4), (3.0, 9.0)],
+    )
+    def test_fixed_jitter_on_boundary_grids(self, base, jitter):
+        model = FixedJitter(base=base, jitter=jitter, seed=3).bind(
+            split_schedule(gst=83_333 * T), INDICES, seconds_per_slot=T
+        )
+        for message in phase_messages(BOUNDARY_SEND_TIMES, N):
+            assert_settled_matches_full_sampling(
+                model, message, np.arange(N), message.sent_at
+            )
+
+    @pytest.mark.parametrize("build", ALL_MODELS)
+    def test_every_model_matches_full_sampling(self, build):
+        # Uniform and log-normal state no bounds and take the sampled path.
+        model = build().bind(split_schedule(gst=5 * T), INDICES, seconds_per_slot=T)
+        for message in phase_messages([0.0, T / 3, 4 * T, 6 * T + T / 3], N):
+            assert_settled_matches_full_sampling(
+                model, message, np.arange(N), message.sent_at
+            )
+
+    def test_empty_audience(self):
+        model = GossipPropagation(seed=1).bind(flat_schedule(), INDICES, seconds_per_slot=T)
+        times, avail = model.delivery_times(block_message(), [], available_at=0.0)
+        assert times.shape == avail.shape == (0,)
+
+    @pytest.mark.parametrize(
+        "hop_delay,send_times,sampled",
+        [
+            ((0.05, 0.2), [0.0, 2.0, 7 * T + 2.5], "none"),
+            ((0.282, 0.846), [0.0, 2.0, 7 * T + 2.5], "some"),
+            # Every arrival sits exactly on a boundary, inside the margin.
+            ((T, T), [0.0, T / 3], "all"),
+        ],
+    )
+    def test_only_straddling_recipients_are_sampled(self, hop_delay, send_times, sampled):
+        n = 2000
+        model = GossipPropagation(hop_delay=hop_delay, seed=11).bind(
+            flat_schedule(), range(n), seconds_per_slot=T
+        )
+        rows = []
+        sample = model._hop_latencies
+        model._hop_latencies = lambda key, ids, hops: (
+            rows.append(len(ids)) or sample(key, ids, hops)
+        )
+        messages = list(phase_messages(send_times, n))
+        settled = [model.delivery_times(m, np.arange(n), m.sent_at)[0] for m in messages]
+        sampled_rows = sum(rows)
+        for message, times in zip(messages, settled):
+            expected, _ = full_sampling(model, message, np.arange(n), message.sent_at)
+            assert times.tobytes() == expected.tobytes()
+        total = len(messages) * n
+        if sampled == "none":
+            assert sampled_rows == 0
+        elif sampled == "all":
+            assert sampled_rows == total
+        else:
+            assert 0 < sampled_rows < total

@@ -13,6 +13,7 @@ the mechanics in isolation:
   member cursors without changing what proposers include.
 """
 
+import numpy as np
 import pytest
 
 from repro.agents.honest import OfflineAgent
@@ -125,6 +126,49 @@ class TestSplitMechanics:
         )
         assert len(engine.views) == 8
         assert engine.view_events == []
+
+
+class TestCachedMemberArrays:
+    """The transport reads each view's cached ``member_array``."""
+
+    @staticmethod
+    def _jitter_engine(fresh_arrays: bool) -> SimulationEngine:
+        engine = build_honest_simulation(
+            n_validators=12, latency_model=FixedJitter(base=0.5, jitter=6.0, seed=2)
+        )
+        if fresh_arrays:
+            engine.network.set_view_hooks(
+                lambda endpoint: np.array(
+                    engine._view_by_endpoint[endpoint].members, dtype=np.int64
+                ),
+                engine._ensure_exact_audience,
+            )
+        return engine
+
+    @staticmethod
+    def _schedule(engine: SimulationEngine):
+        return sorted(
+            (delivery.recipient, delivery.deliver_at) for delivery in engine.network._queue
+        )
+
+    def test_split_keeps_member_arrays_in_step(self):
+        engine = self._jitter_engine(fresh_arrays=False)
+        engine.adversary.send_to_validators(_attestation_message(engine), (0, 1, 2, 3))
+        assert len(engine.views) >= 2
+        for view in engine.views.values():
+            assert view.member_array.dtype == np.int64
+            assert view.member_array.tolist() == list(view.members)
+            assert not view.member_array.flags.writeable
+
+    def test_broadcast_after_split_matches_fresh_arrays(self):
+        engines = [self._jitter_engine(fresh) for fresh in (False, True)]
+        for engine in engines:
+            engine.adversary.send_to_validators(_attestation_message(engine), (0, 1, 2, 3))
+            engine.network.broadcast(_attestation_message(engine, group="global"))
+        cached, fresh = engines
+        assert cached.view_groups == fresh.view_groups
+        assert len(cached.views) > 2, "the jitter must split views again"
+        assert self._schedule(cached) == self._schedule(fresh)
 
 
 class TestAdversaryCacheInvalidation:
