@@ -30,6 +30,10 @@ A long-horizon record runs the 64-validator double-voting partition for
 25 and for 200 epochs and stores each run's ms/epoch — how an epoch's
 cost grows with the horizon — next to pinned digests of its results.
 
+A double-voting record runs the same attack at 10k validators (beta0 =
+0.33, 4 epochs): the adversary's committee votes travel as one batch per
+branch, gated at >=10 slots/s with the digest of its results pinned.
+
 Timing/shape results are accumulated into the machine-readable
 ``BENCH_slot_sim.json`` artifact (slots/sec, peak group count,
 validators) that CI uploads.
@@ -440,6 +444,60 @@ def test_long_horizon_double_voting_record(bench_record):
         )
         + f" ({growth:.1f}x)"
     )
+
+
+#: Digest of the 10k double-voting run's snapshots and view events,
+#: computed with per-validator Byzantine votes (one message per vote).
+DOUBLE_VOTING_10K_DIGEST = "d9a3600d248ee861a525e46171078ec4"
+DOUBLE_VOTING_10K_EPOCHS = 4
+MIN_DOUBLE_VOTING_SLOTS_PER_S = 10.0
+
+
+def test_double_voting_10k_throughput(bench_record):
+    """A Byzantine slot scenario at 10k validators: >=10 slots/s, same results.
+
+    The double-voting partition (minimal config, p0=0.5, beta0=0.33) for
+    4 epochs.  Every Byzantine committee cluster attests once per branch,
+    so the run sends a handful of batches per slot instead of one message
+    per Byzantine vote.
+    """
+    build_start = time.perf_counter()
+    engine = build_partitioned_simulation(
+        n_validators=LARGE,
+        p0=0.5,
+        byzantine_fraction=0.33,
+        byzantine_strategy="double-voting",
+        config=SpecConfig.minimal(),
+    )
+    start = time.perf_counter()
+    result = engine.run(DOUBLE_VOTING_10K_EPOCHS)
+    elapsed = time.perf_counter() - start
+    history = repr((result.snapshots, result.view_events)).encode()
+    digest = hashlib.blake2b(history, digest_size=16).hexdigest()
+    slots_per_second = _slots_per_second(engine, result, elapsed)
+    bench_record(
+        RESULTS_PATH,
+        {
+            "double_voting_10k": {
+                "n_validators": LARGE,
+                "config": "minimal",
+                "p0": 0.5,
+                "byzantine_fraction": 0.33,
+                "epochs": DOUBLE_VOTING_10K_EPOCHS,
+                "build_s": start - build_start,
+                "seconds": elapsed,
+                "slots_per_sec": slots_per_second,
+                "messages_sent": result.transport_stats.sent,
+                "digest": digest,
+            },
+        },
+    )
+    print(
+        f"\ndouble-voting partition @10k: {slots_per_second:.1f} slots/s, "
+        f"{result.transport_stats.sent} messages sent"
+    )
+    assert digest == DOUBLE_VOTING_10K_DIGEST
+    assert slots_per_second >= MIN_DOUBLE_VOTING_SLOTS_PER_S
 
 
 @pytest.mark.skipif(

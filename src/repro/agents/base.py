@@ -128,9 +128,11 @@ class ValidatorAgent(ABC):
         same slot, produces identical attestation content; the engine
         then clusters such committee members and calls
         :meth:`attest_committee` once per (view group, key) instead of
-        once per validator.  Agents with per-validator decisions (the
-        Byzantine strategies) return ``None`` and keep the per-member
-        :meth:`attest` path.
+        once per validator.  Honest agents and every Byzantine strategy
+        (:mod:`repro.agents.byzantine`) define a key; agents with
+        per-validator decisions (the stochastic behaviour profiles) return
+        ``None`` and keep the per-member :meth:`attest` path.  A key must
+        be O(1) to compute and hash.
         """
         return None
 

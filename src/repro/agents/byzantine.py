@@ -16,18 +16,35 @@ can target messages at one partition or withhold them for later release.
   proposer shows two competing blocks to two halves of the honest
   validators over a *healthy* network, and "swayer" votes keep the halves
   balanced so neither branch ever reaches a supermajority.
+
+**Committee keys.**  Every validator of one attack votes alike: all
+members of a slot committee sharing a view cast the same vote on the same
+branches with the same routing.  Each agent class therefore decides its
+votes once per slot as a list of :class:`BranchVote` (``branch_votes``),
+and both :meth:`CoalitionAgent.attest` (one attestation per branch for
+one validator, the reference) and :meth:`CoalitionAgent.attest_committee`
+(one :class:`~repro.agents.base.AttestationBatchAction` per branch for a
+whole committee cluster) build their actions from that one list.  The
+engine clusters committee members by ``committee_key`` per view group,
+so the key must be sound and cheap: two agents share a key only if they
+would vote identically from the same view, and computing and hashing it
+is O(1).  It is the identity of the coalition object the attack's agents
+share through :meth:`CoalitionAgent.for_validator` — never a hash of an
+index tuple — plus, for :class:`AlternatingAgent`, its burst state.
 """
 
 from __future__ import annotations
 
 import copy
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from abc import abstractmethod
+from typing import Dict, Hashable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.agents.base import (
     AgentContext,
     AttestationAction,
+    AttestationBatchAction,
     ProposalAction,
     ValidatorAgent,
 )
@@ -35,8 +52,115 @@ from repro.spec.checkpoint import Checkpoint
 from repro.spec.types import Root
 
 
-class ByzantineAgent(ValidatorAgent):
-    """Base class for adversary-controlled agents."""
+class BranchVote(NamedTuple):
+    """One branch's vote at a slot: what to vote for and how to route it.
+
+    ``head``/``source`` of ``None`` take the voting view's own fork-choice
+    head and justified checkpoint; the routing fields mean what they mean
+    on :class:`~repro.agents.base.AttestationAction`.
+    """
+
+    head: Optional[Root] = None
+    source: Optional[Checkpoint] = None
+    audience: Optional[str] = None
+    withhold: bool = False
+    recipients: Optional[Tuple[int, ...]] = None
+    delay: float = 0.0
+
+
+class CoalitionAgent(ValidatorAgent):
+    """An adversary-controlled agent voting as part of a coordinated attack.
+
+    Subclasses decide a slot's votes in :meth:`branch_votes`; the
+    per-validator and per-committee attestation paths both build their
+    actions from it.  :meth:`committee_key` returns the ``coalition``
+    object the attack's agents share (identity-hashed, O(1)).
+    """
+
+    #: Shared, identity-hashed token of the attack this agent belongs to.
+    coalition: Hashable
+
+    @property
+    def is_byzantine(self) -> bool:
+        return True
+
+    def for_validator(self, validator_index: int) -> "CoalitionAgent":
+        """An agent of the same attack acting as ``validator_index``.
+
+        Shares this agent's coalition (membership maps, audiences) instead
+        of copying it, so a coalition of thousands holds one copy, and the
+        twins share a committee key.
+        """
+        twin = copy.copy(self)
+        twin.validator_index = validator_index
+        return twin
+
+    @abstractmethod
+    def branch_votes(self, ctx: AgentContext) -> List[BranchVote]:
+        """This slot's votes, one per branch voted on (the one decision path)."""
+
+    def committee_key(self) -> Optional[Hashable]:
+        return self.coalition
+
+    def attest(self, ctx: AgentContext) -> List[AttestationAction]:
+        if not ctx.is_attester:
+            return []
+        return [
+            AttestationAction(
+                attestation=ctx.node.attestation_for(
+                    slot=ctx.slot, head=vote.head, source=vote.source
+                ),
+                audience=vote.audience,
+                withhold=vote.withhold,
+                recipients=vote.recipients,
+                delay=vote.delay,
+            )
+            for vote in self.branch_votes(ctx)
+        ]
+
+    def attest_committee(
+        self, ctx: AgentContext, members: Sequence[int]
+    ) -> List[AttestationBatchAction]:
+        return [
+            AttestationBatchAction(
+                batch=ctx.node.attestation_batch_for(
+                    slot=ctx.slot, validators=members, head=vote.head, source=vote.source
+                ),
+                audience=vote.audience,
+                withhold=vote.withhold,
+                recipients=vote.recipients,
+                delay=vote.delay,
+            )
+            for vote in self.branch_votes(ctx)
+        ]
+
+
+class Coalition:
+    """The partition map of one partition attack, built once and shared.
+
+    Hashes and compares by identity: it is the committee key of every
+    agent of the attack (see :meth:`CoalitionAgent.for_validator`).
+    """
+
+    __slots__ = ("members", "member_arrays", "names")
+
+    def __init__(self, partition_members: Dict[str, Set[int]]) -> None:
+        if not partition_members:
+            raise ValueError("Byzantine agents need the partition membership map")
+        self.members = {
+            name: frozenset(members) for name, members in partition_members.items()
+        }
+        #: Sorted member index arrays per partition, for the vectorized
+        #: vote scans of the agents.
+        self.member_arrays = {
+            name: np.asarray(sorted(members), dtype=np.int64)
+            for name, members in self.members.items()
+        }
+        self.names = list(self.members)
+
+
+class ByzantineAgent(CoalitionAgent):
+    """Base class for the partition attacks' adversary-controlled agents."""
 
     def __init__(
         self,
@@ -44,22 +168,11 @@ class ByzantineAgent(ValidatorAgent):
         partition_members: Dict[str, Set[int]],
     ) -> None:
         super().__init__(validator_index)
-        if not partition_members:
-            raise ValueError("Byzantine agents need the partition membership map")
-        self.partition_members = {
-            name: set(members) for name, members in partition_members.items()
-        }
-        #: Sorted member index arrays per partition, for the vectorized
-        #: vote scans below.
-        self.partition_member_arrays = {
-            name: np.asarray(sorted(members), dtype=np.int64)
-            for name, members in self.partition_members.items()
-        }
-        self.partition_names = list(self.partition_members)
+        self.coalition = Coalition(partition_members)
 
     @property
-    def is_byzantine(self) -> bool:
-        return True
+    def partition_names(self) -> List[str]:
+        return self.coalition.names
 
     # ------------------------------------------------------------------
     def branch_head_for_partition(self, ctx: AgentContext, partition: str) -> Root:
@@ -69,7 +182,7 @@ class ByzantineAgent(ValidatorAgent):
         blocks of both partitions.  The branch "belonging" to a partition is
         identified by the proposer of its most recent non-genesis block.
         """
-        members = self.partition_members[partition]
+        members = self.coalition.members[partition]
         tree = ctx.node.store.tree
         best: Optional[Root] = None
         best_slot = -1
@@ -103,7 +216,7 @@ class ByzantineAgent(ValidatorAgent):
         fallback.
         """
         tree = ctx.node.store.tree
-        member_array = self.partition_member_arrays[partition]
+        member_array = self.coalition.member_arrays[partition]
         root_of = ctx.node.pool.flat.root_of
         best = None
         for epoch in sorted(ctx.node.attestations_by_epoch, reverse=True):
@@ -148,11 +261,17 @@ class ByzantineAgent(ValidatorAgent):
                     fallback = checkpoint
         return fallback
 
-    def attestation_for_branch(self, ctx: AgentContext, partition: str):
-        """Build the branch-consistent attestation for one partition."""
-        head = self.branch_head_for_partition(ctx, partition)
+    def branch_vote(
+        self, ctx: AgentContext, partition: str, head: Optional[Root] = None, **routing
+    ) -> BranchVote:
+        """The branch-consistent vote for one partition's branch.
+
+        ``head`` skips the branch-head walk when the caller already has it.
+        """
+        if head is None:
+            head = self.branch_head_for_partition(ctx, partition)
         source = self.source_checkpoint_for_branch(ctx, head, partition)
-        return ctx.node.attestation_for(slot=ctx.slot, head=head, source=source)
+        return BranchVote(head=head, source=source, **routing)
 
     def _partition_for_epoch(self, epoch: int) -> str:
         """Alternation helper: even epochs -> first partition, odd -> second."""
@@ -174,14 +293,11 @@ class DoubleVotingAgent(ByzantineAgent):
             actions.append(ProposalAction(block=block, audience=partition))
         return actions
 
-    def attest(self, ctx: AgentContext) -> List[AttestationAction]:
-        if not ctx.is_attester:
-            return []
-        actions: List[AttestationAction] = []
-        for partition in self.partition_names:
-            attestation = self.attestation_for_branch(ctx, partition)
-            actions.append(AttestationAction(attestation=attestation, audience=partition))
-        return actions
+    def branch_votes(self, ctx: AgentContext) -> List[BranchVote]:
+        return [
+            self.branch_vote(ctx, partition, audience=partition)
+            for partition in self.partition_names
+        ]
 
 
 class AlternatingAgent(ByzantineAgent):
@@ -233,12 +349,14 @@ class AlternatingAgent(ByzantineAgent):
         )
         return [ProposalAction(block=block, audience=partition)]
 
-    def attest(self, ctx: AgentContext) -> List[AttestationAction]:
-        if not ctx.is_attester:
-            return []
+    def committee_key(self) -> Optional[Hashable]:
+        # The burst state picks the branch, so twins out of step with each
+        # other must not share a cluster.
+        return (self.coalition, self._burst_partition, self._burst_epochs_left)
+
+    def branch_votes(self, ctx: AgentContext) -> List[BranchVote]:
         partition = self._current_partition(ctx)
-        attestation = self.attestation_for_branch(ctx, partition)
-        return [AttestationAction(attestation=attestation, audience=partition)]
+        return [self.branch_vote(ctx, partition, audience=partition)]
 
 
 class BouncingAgent(ByzantineAgent):
@@ -251,15 +369,9 @@ class BouncingAgent(ByzantineAgent):
     of part of the honest validators towards the other branch — the bounce.
     """
 
-    def __init__(
-        self,
-        validator_index: int,
-        partition_members: Dict[str, Set[int]],
-    ) -> None:
-        super().__init__(validator_index, partition_members)
-
-    def _losing_partition(self, ctx: AgentContext) -> str:
-        """The partition whose branch currently has the lighter honest support.
+    def _losing_branch(self, ctx: AgentContext) -> Tuple[str, Root]:
+        """The partition whose branch has the lighter honest support, and
+        that branch's head.
 
         Vectorized over the store's latest-vote arrays: one mask per
         partition instead of a walk over every recorded message.
@@ -267,26 +379,27 @@ class BouncingAgent(ByzantineAgent):
         epochs, root_ids = ctx.node.store.latest_vote_view()
         stakes = ctx.node.stake_array()
         capacity = epochs.shape[0]
+        heads: Dict[str, Root] = {}
         weights: Dict[str, float] = {}
         for partition in self.partition_names:
-            head = self.branch_head_for_partition(ctx, partition)
+            head = heads[partition] = self.branch_head_for_partition(ctx, partition)
             head_id = ctx.node.store.root_id_of(head)
             if head_id is None:
                 weights[partition] = 0.0
                 continue
-            members = self.partition_member_arrays[partition]
+            members = self.coalition.member_arrays[partition]
             members = members[(members < capacity) & (members < stakes.shape[0])]
             supporting = members[
                 (epochs[members] >= 0) & (root_ids[members] == head_id)
             ]
             weights[partition] = float(stakes[supporting].sum())
-        return min(self.partition_names, key=lambda name: weights.get(name, 0.0))
+        losing = min(self.partition_names, key=lambda name: weights.get(name, 0.0))
+        return losing, heads[losing]
 
     def propose(self, ctx: AgentContext) -> List[ProposalAction]:
         if not ctx.is_proposer:
             return []
-        partition = self._losing_partition(ctx)
-        parent = self.branch_head_for_partition(ctx, partition)
+        partition, parent = self._losing_branch(ctx)
         block = ctx.node.build_block(
             slot=ctx.slot, parent=parent, branch_tag=partition, include_evidence=False
         )
@@ -294,15 +407,12 @@ class BouncingAgent(ByzantineAgent):
         # attestations that do the bouncing.
         return [ProposalAction(block=block)]
 
-    def attest(self, ctx: AgentContext) -> List[AttestationAction]:
-        if not ctx.is_attester:
-            return []
-        partition = self._losing_partition(ctx)
-        attestation = self.attestation_for_branch(ctx, partition)
-        return [AttestationAction(attestation=attestation, withhold=True)]
+    def branch_votes(self, ctx: AgentContext) -> List[BranchVote]:
+        partition, head = self._losing_branch(ctx)
+        return [self.branch_vote(ctx, partition, head=head, withhold=True)]
 
 
-class SwayerByzantine(ValidatorAgent):
+class SwayerByzantine(CoalitionAgent):
     """Balancing-attack agent: split proposal plus swaying votes.
 
     Unlike the partition-based agents above, this strategy needs no
@@ -351,20 +461,9 @@ class SwayerByzantine(ValidatorAgent):
         # Byzantine validator (so the adversary's own view never splits).
         self._left_audience = self.left + self.byzantine
         self._right_audience = self.right + self.byzantine
-
-    def for_validator(self, validator_index: int) -> "SwayerByzantine":
-        """A swayer of the same attack acting as ``validator_index``.
-
-        Shares this agent's index and audience tuples instead of copying
-        them, so a coalition of thousands holds one copy of each.
-        """
-        twin = copy.copy(self)
-        twin.validator_index = validator_index
-        return twin
-
-    @property
-    def is_byzantine(self) -> bool:
-        return True
+        # Every setting above is shared by the twins of ``for_validator``,
+        # so a fresh token identifies the attack.
+        self.coalition = object()
 
     # ------------------------------------------------------------------
     def _tagged_branch_heads(self, ctx: AgentContext) -> Dict[str, Root]:
@@ -447,23 +546,15 @@ class SwayerByzantine(ValidatorAgent):
         )
         return [ProposalAction(block=block)]
 
-    def attest(self, ctx: AgentContext) -> List[AttestationAction]:
-        if not ctx.is_attester:
-            return []
+    def branch_votes(self, ctx: AgentContext) -> List[BranchVote]:
         heads = self._tagged_branch_heads(ctx)
         if len(heads) < 2:
             # Keep powder dry until both split blocks are visible.
-            return [
-                AttestationAction(
-                    attestation=ctx.node.attestation_for(slot=ctx.slot),
-                    withhold=True,
-                )
-            ]
+            return [BranchVote(withhold=True)]
         lighter, heavier = self._lighter_and_heavier(ctx, heads)
-        attestation = ctx.node.attestation_for(slot=ctx.slot, head=heads[lighter])
         return [
-            AttestationAction(
-                attestation=attestation,
+            BranchVote(
+                head=heads[lighter],
                 recipients=self._audience_of(heavier),
                 delay=self.sway_delay,
             )

@@ -4,7 +4,9 @@ Honest agents are *batch-capable*: every honest committee member sharing a
 view attests identically (same head, same FFG link), so the engine calls
 :meth:`HonestAgent.attest_committee` once per view group and the whole
 cluster's votes travel as one :class:`~repro.core.attestation_batch.AttestationBatch`.
-The per-member :meth:`attest` path remains for direct use and tests.
+The Byzantine strategies (:mod:`repro.agents.byzantine`) batch the same
+way, one batch per branch they vote on.  The per-member :meth:`attest`
+path remains for direct use and tests.
 """
 
 from __future__ import annotations

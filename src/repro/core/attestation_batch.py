@@ -91,8 +91,8 @@ class AttestationBatch:
 
     All validators in ``validators`` cast the same block vote
     (``head_root``) and the same checkpoint vote (``source -> target``)
-    at ``slot``.  Byzantine equivocations never share content and are
-    sent as plain per-validator attestations instead.
+    at ``slot``.  A Byzantine equivocation is two batches, one per
+    branch.
 
     Equality and hashing are content-based (the dataclass-generated
     versions would choke on the array field).

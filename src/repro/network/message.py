@@ -19,8 +19,9 @@ class MessageKind(str, Enum):
     """The payload kinds circulating on the gossip network.
 
     ``ATTESTATION_BATCH`` carries a whole committee's identical votes as
-    one flat-array payload — the batch-native fast path; per-validator
-    ``ATTESTATION`` messages remain for equivocating (non-uniform) votes.
+    one flat-array payload — the batch-native fast path, also taken by
+    the adversary's coordinated votes (one batch per branch); per-validator
+    ``ATTESTATION`` messages remain for agents without a committee key.
     """
 
     BLOCK = "block"

@@ -36,11 +36,13 @@ so every endpoint stays live for the whole run.  Per-slot cost stays
 O(live groups): a balancing attack at 10k validators runs with ~3 groups,
 not 10k nodes.
 
-**Batch-native message flow.**  Honest committee members of one view are
-clustered per slot and their identical votes travel as a single
-:class:`~repro.core.attestation_batch.AttestationBatch` message; Byzantine
-(non-uniform) votes keep per-validator messages.  Both modes share this
-flow — sharding changes who ingests a message, never what is sent.
+**Batch-native message flow.**  Committee members of one view with the
+same committee key are clustered per slot and their identical votes
+travel as a single :class:`~repro.core.attestation_batch.AttestationBatch`
+message — honest votes as one batch, an attack's coordinated votes as one
+batch per branch voted on.  Agents without a key (the stochastic behaviour
+profiles) keep per-validator messages.  Both modes share this flow —
+sharding changes who ingests a message, never what is sent.
 """
 
 from __future__ import annotations

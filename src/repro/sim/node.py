@@ -22,10 +22,11 @@ Ingestion is batch-native: a committee's identical votes arrive as one
 :class:`repro.core.attestation_batch.AttestationBatch` and are ingested in
 one call — bulk :meth:`FlatVotePool.add_batch`, vectorized fork-choice
 latest-message update, array-append activity accounting, an array check
-in the slashing detector — while equivocating (non-uniform) votes keep
-the per-attestation path.  A block's carried attestations are regrouped
-into batches (consecutive rows of one vote) on the way in, and the
-inclusion log keeps batches unexpanded until a proposer slices them.
+in the slashing detector.  The adversary's coordinated votes batch too:
+an equivocation is one batch per branch, each uniform in itself.  A
+block's carried attestations are regrouped into batches (consecutive
+rows of one vote) on the way in, and the inclusion log keeps batches
+unexpanded until a proposer slices them.
 Activity (``active_indices_for_epoch``) is computed by array comparison
 over the per-epoch vote columns instead of a per-attestation set scan.
 """
@@ -615,6 +616,21 @@ class Node:
             self._checkpoint_cache[key] = checkpoint
         return checkpoint
 
+    def _vote(
+        self, slot: int, head: Optional[Root], source: Optional[Checkpoint]
+    ) -> Tuple[Root, Checkpoint, Checkpoint]:
+        """Head, source and target of this view's vote for ``slot``.
+
+        ``head`` defaults to the fork-choice head and ``source`` to the
+        current justified checkpoint; the target is the current epoch's
+        checkpoint on the head's chain.
+        """
+        head_root = head if head is not None else self.head()
+        if source is None:
+            source = self.state.current_justified_checkpoint
+        target = self.checkpoint_of_epoch(self.config.epoch_of_slot(slot), head_root)
+        return head_root, source, target
+
     def attestation_for(
         self,
         slot: int,
@@ -631,11 +647,7 @@ class Node:
         head's chain.  ``validator_index`` selects the attesting member
         (default: the node's own validator).
         """
-        epoch = self.config.epoch_of_slot(slot)
-        head_root = head if head is not None else self.head()
-        if source is None:
-            source = self.state.current_justified_checkpoint
-        target = self.checkpoint_of_epoch(epoch, head_root)
+        head_root, source, target = self._vote(slot, head, source)
         return Attestation(
             validator_index=(
                 validator_index if validator_index is not None else self.validator_index
@@ -646,20 +658,25 @@ class Node:
         )
 
     def attestation_batch_for(
-        self, slot: int, validators: Sequence[int]
+        self,
+        slot: int,
+        validators: Sequence[int],
+        head: Optional[Root] = None,
+        source: Optional[Checkpoint] = None,
     ) -> AttestationBatch:
-        """The committee batch of protocol-following attestations for ``slot``.
+        """The committee batch of ``validators``' attestations for ``slot``.
 
         All ``validators`` share this view, so head, source and target are
-        computed once and the batch carries only the validator array.
+        computed once (with the same defaults and overrides as
+        :meth:`attestation_for`) and the batch carries only the validator
+        array.
         """
-        epoch = self.config.epoch_of_slot(slot)
-        head_root = self.head()
+        head_root, source, target = self._vote(slot, head, source)
         return AttestationBatch(
             slot=slot,
             head_root=head_root,
-            source=self.state.current_justified_checkpoint,
-            target=self.checkpoint_of_epoch(epoch, head_root),
+            source=source,
+            target=target,
             validators=np.asarray(validators, dtype=np.int64),
         )
 

@@ -174,19 +174,22 @@ def build_partitioned_simulation(
     agents: Dict[int, ValidatorAgent] = {
         index: HonestAgent(index) for index in honest_indices
     }
-    for index in byzantine_indices:
+    if byzantine_strategy == "none":
+        # Byzantine validators that just follow the protocol.
+        agents.update((index, HonestAgent(index)) for index in byzantine_indices)
+    else:
+        # One agent builds the attack's coalition; every Byzantine
+        # validator acts through a twin sharing it.
+        first = byzantine_indices[0]
         if byzantine_strategy == "double-voting":
-            agents[index] = DoubleVotingAgent(index, partition_members)
+            attack = DoubleVotingAgent(first, partition_members)
         elif byzantine_strategy == "alternating":
-            agents[index] = AlternatingAgent(index, partition_members)
+            attack = AlternatingAgent(first, partition_members)
         elif byzantine_strategy == "alternating-finalizer":
-            agents[index] = AlternatingAgent(
-                index, partition_members, finalize_when_possible=True
-            )
-        elif byzantine_strategy == "bouncing":
-            agents[index] = BouncingAgent(index, partition_members)
-        else:  # "none": Byzantine validators that just follow the protocol
-            agents[index] = HonestAgent(index)
+            attack = AlternatingAgent(first, partition_members, finalize_when_possible=True)
+        else:  # "bouncing"
+            attack = BouncingAgent(first, partition_members)
+        agents.update((index, attack.for_validator(index)) for index in byzantine_indices)
 
     return SimulationEngine(
         registry=registry,

@@ -169,6 +169,33 @@ SCENARIOS = [
         {"n_validators": 12, "p0": 0.5, "latency_model": "gossip"},
         4,
     ),
+    # Byzantine committee votes travel as one batch per branch whose
+    # sender is one member; gossip delivery times must not depend on it.
+    (
+        "balancing-gossip",
+        build_balancing_attack_simulation,
+        {"n_validators": 16, "latency_model": "gossip"},
+        4,
+    ),
+    (
+        "balancing-gossip-sway-delay",
+        build_balancing_attack_simulation,
+        {"n_validators": 16, "latency_model": "gossip", "sway_delay": 2.0},
+        4,
+    ),
+    (
+        "double-voting-gossip",
+        build_partitioned_simulation,
+        {
+            "n_validators": 12,
+            "p0": 0.5,
+            "byzantine_fraction": 0.25,
+            "gst_epoch": 2,
+            "byzantine_strategy": "double-voting",
+            "latency_model": "gossip",
+        },
+        4,
+    ),
     (
         "partition-lognormal-heals",
         build_partitioned_simulation,
