@@ -319,7 +319,7 @@ def test_gossip_delivery_times_stage(bench_record):
             Message.block(BeaconBlock.genesis(), sender=(slot * 211) % n, sent_at=sent_at)
         )
         vote_at = sent_at + seconds_per_slot / 3
-        messages.append(Message(MessageKind.ATTESTATION, None, (slot * 97) % n, vote_at))
+        messages.append(Message(MessageKind.ATTESTATION_BATCH, None, (slot * 97) % n, vote_at))
 
     def settled(message):
         return model.delivery_times(message, recipients, message.sent_at)[0]

@@ -2,7 +2,7 @@
 
 from repro.agents.base import (
     AgentContext,
-    AttestationAction,
+    AttestationBatchAction,
     ProposalAction,
     ValidatorAgent,
 )
@@ -18,7 +18,7 @@ from repro.agents.profiles import IntermittentValidator, LazyValidator
 __all__ = [
     "AgentContext",
     "AlternatingAgent",
-    "AttestationAction",
+    "AttestationBatchAction",
     "BouncingAgent",
     "ByzantineAgent",
     "DoubleVotingAgent",

@@ -7,16 +7,21 @@ strategies.  Agents never touch the network directly — they return
 *actions* which the simulation engine executes through the transport and
 the adversary, so the timing and partitioning rules are enforced in one
 place.
+
+Votes have one packaging from agent to ingest: the engine asks each
+cluster of same-view committee members once per slot
+(:meth:`ValidatorAgent.attest_committee`), and the agent answers with
+:class:`AttestationBatchAction` items.  An agent with no committee key is
+a cluster of one.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Hashable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.attestation_batch import AttestationBatch
-from repro.spec.attestation import Attestation
 from repro.spec.block import BeaconBlock
 from repro.spec.committees import EpochDuties
 
@@ -46,30 +51,17 @@ class ProposalAction:
 
 
 @dataclass
-class AttestationAction:
-    """An attestation to publish.
-
-    ``audience`` restricts delivery to one partition; ``withhold`` hands the
-    attestation to the adversary instead of the network, to be released
-    later (the bouncing attack's withheld votes).  ``recipients``/``delay``
-    target an exact validator set with a timed release, as for
-    :class:`ProposalAction` (the swayer votes of the balancing attack).
-    """
-
-    attestation: Attestation
-    audience: Optional[str] = None
-    withhold: bool = False
-    recipients: Optional[Tuple[int, ...]] = None
-    delay: float = 0.0
-
-
-@dataclass
 class AttestationBatchAction:
-    """A whole committee's identical attestations, published as one message.
+    """Attestations to publish: one cluster's identical votes as one message.
 
-    Emitted by batch-capable agents (:meth:`ValidatorAgent.attest_committee`)
-    for the members of one view group in one committee; routed exactly like
-    a single attestation (``audience``/``withhold``/``recipients``/``delay``).
+    Every vote leaves an agent this way; a lone validator's vote is a
+    one-row batch.  ``audience`` restricts delivery to one partition;
+    ``withhold`` hands the batch to the adversary instead of the network,
+    to be released later (the bouncing attack's withheld votes).
+    ``recipients``/``delay`` target an exact validator set with a timed
+    release, as for :class:`ProposalAction` (the swayer votes of the
+    balancing attack); ``delay`` alone publishes late to everyone (the
+    lazy profile).
     """
 
     batch: AttestationBatch
@@ -93,8 +85,6 @@ class AgentContext:
     duties: EpochDuties
     #: True when this validator proposes at this slot.
     is_proposer: bool
-    #: True when this validator's attestation duty falls on this slot.
-    is_attester: bool
     #: Names of the network partitions (empty when the network is whole).
     partition_names: Sequence[str] = ()
 
@@ -110,15 +100,11 @@ class ValidatorAgent(ABC):
     def propose(self, ctx: AgentContext) -> List[ProposalAction]:
         """Return the block proposals to publish at this slot (may be empty)."""
 
-    @abstractmethod
-    def attest(self, ctx: AgentContext) -> List[AttestationAction]:
-        """Return the attestations to publish at this slot (may be empty)."""
-
     def on_epoch_start(self, ctx: AgentContext) -> None:
         """Hook called at the first slot of every epoch (default: no-op)."""
 
     # ------------------------------------------------------------------
-    # Committee-level (batch) attestation API
+    # Attestation API
     # ------------------------------------------------------------------
     def committee_key(self) -> Optional[Hashable]:
         """Batching key for committee-level attestation, or ``None``.
@@ -127,28 +113,26 @@ class ValidatorAgent(ABC):
         theirs with the same key, attesting from the same view in the
         same slot, produces identical attestation content; the engine
         then clusters such committee members and calls
-        :meth:`attest_committee` once per (view group, key) instead of
-        once per validator.  Honest agents and every Byzantine strategy
-        (:mod:`repro.agents.byzantine`) define a key; agents with
-        per-validator decisions (the stochastic behaviour profiles) return
-        ``None`` and keep the per-member :meth:`attest` path.  A key must
-        be O(1) to compute and hash.
+        :meth:`attest_committee` once per (view group, key).  Honest
+        agents and every Byzantine strategy (:mod:`repro.agents.byzantine`)
+        define a key; agents with per-validator decisions (the stochastic
+        behaviour profiles) return ``None`` and are clusters of one,
+        asked before the keyed clusters.  A key must be O(1) to compute
+        and hash.
         """
         return None
 
+    @abstractmethod
     def attest_committee(
         self, ctx: AgentContext, members: Sequence[int]
-    ) -> List[Union[AttestationAction, AttestationBatchAction]]:
-        """Return the actions for a whole same-view committee cluster.
+    ) -> List[AttestationBatchAction]:
+        """Return the vote actions of one same-view committee cluster.
 
-        Called only when :meth:`committee_key` returned a key; ``ctx`` is
-        built for an arbitrary member of the cluster and ``members``
-        lists every clustered validator (ascending committee order).
+        ``ctx`` is built for the cluster's first member and ``members``
+        lists every clustered validator in committee order (just
+        ``[ctx.validator_index]`` for an agent without a committee key).
+        The result may be empty.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} advertises a committee_key but does not "
-            "implement attest_committee"
-        )
 
     # ------------------------------------------------------------------
     @property

@@ -21,16 +21,16 @@ can target messages at one partition or withhold them for later release.
 members of a slot committee sharing a view cast the same vote on the same
 branches with the same routing.  Each agent class therefore decides its
 votes once per slot as a list of :class:`BranchVote` (``branch_votes``),
-and both :meth:`CoalitionAgent.attest` (one attestation per branch for
-one validator, the reference) and :meth:`CoalitionAgent.attest_committee`
-(one :class:`~repro.agents.base.AttestationBatchAction` per branch for a
-whole committee cluster) build their actions from that one list.  The
-engine clusters committee members by ``committee_key`` per view group,
-so the key must be sound and cheap: two agents share a key only if they
-would vote identically from the same view, and computing and hashing it
-is O(1).  It is the identity of the coalition object the attack's agents
-share through :meth:`CoalitionAgent.for_validator` — never a hash of an
-index tuple — plus, for :class:`AlternatingAgent`, its burst state.
+and :meth:`CoalitionAgent.attest_committee` turns that list into one
+:class:`~repro.agents.base.AttestationBatchAction` per branch for a
+whole committee cluster (a cluster of one gives exactly one validator's
+votes).  The engine clusters committee members by ``committee_key`` per
+view group, so the key must be sound and cheap: two agents share a key
+only if they would vote identically from the same view, and computing
+and hashing it is O(1).  It is the identity of the coalition object the
+attack's agents share through :meth:`CoalitionAgent.for_validator` —
+never a hash of an index tuple — plus, for :class:`AlternatingAgent`,
+its burst state.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ import numpy as np
 
 from repro.agents.base import (
     AgentContext,
-    AttestationAction,
     AttestationBatchAction,
     ProposalAction,
     ValidatorAgent,
@@ -57,7 +56,7 @@ class BranchVote(NamedTuple):
 
     ``head``/``source`` of ``None`` take the voting view's own fork-choice
     head and justified checkpoint; the routing fields mean what they mean
-    on :class:`~repro.agents.base.AttestationAction`.
+    on :class:`~repro.agents.base.AttestationBatchAction`.
     """
 
     head: Optional[Root] = None
@@ -71,10 +70,10 @@ class BranchVote(NamedTuple):
 class CoalitionAgent(ValidatorAgent):
     """An adversary-controlled agent voting as part of a coordinated attack.
 
-    Subclasses decide a slot's votes in :meth:`branch_votes`; the
-    per-validator and per-committee attestation paths both build their
-    actions from it.  :meth:`committee_key` returns the ``coalition``
-    object the attack's agents share (identity-hashed, O(1)).
+    Subclasses decide a slot's votes in :meth:`branch_votes`, and
+    :meth:`attest_committee` builds a cluster's actions from it.
+    :meth:`committee_key` returns the ``coalition`` object the attack's
+    agents share (identity-hashed, O(1)).
     """
 
     #: Shared, identity-hashed token of the attack this agent belongs to.
@@ -101,22 +100,6 @@ class CoalitionAgent(ValidatorAgent):
 
     def committee_key(self) -> Optional[Hashable]:
         return self.coalition
-
-    def attest(self, ctx: AgentContext) -> List[AttestationAction]:
-        if not ctx.is_attester:
-            return []
-        return [
-            AttestationAction(
-                attestation=ctx.node.attestation_for(
-                    slot=ctx.slot, head=vote.head, source=vote.source
-                ),
-                audience=vote.audience,
-                withhold=vote.withhold,
-                recipients=vote.recipients,
-                delay=vote.delay,
-            )
-            for vote in self.branch_votes(ctx)
-        ]
 
     def attest_committee(
         self, ctx: AgentContext, members: Sequence[int]

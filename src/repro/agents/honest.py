@@ -1,21 +1,19 @@
 """Honest (protocol-following) validator agents.
 
-Honest agents are *batch-capable*: every honest committee member sharing a
-view attests identically (same head, same FFG link), so the engine calls
+Every honest committee member sharing a view attests identically (same
+head, same FFG link), so the engine calls
 :meth:`HonestAgent.attest_committee` once per view group and the whole
 cluster's votes travel as one :class:`~repro.core.attestation_batch.AttestationBatch`.
 The Byzantine strategies (:mod:`repro.agents.byzantine`) batch the same
-way, one batch per branch they vote on.  The per-member :meth:`attest`
-path remains for direct use and tests.
+way, one batch per branch they vote on.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, List, Optional, Sequence, Union
+from typing import Hashable, List, Optional, Sequence
 
 from repro.agents.base import (
     AgentContext,
-    AttestationAction,
     AttestationBatchAction,
     ProposalAction,
     ValidatorAgent,
@@ -31,18 +29,12 @@ class HonestAgent(ValidatorAgent):
         block = ctx.node.build_block(slot=ctx.slot)
         return [ProposalAction(block=block)]
 
-    def attest(self, ctx: AgentContext) -> List[AttestationAction]:
-        if not ctx.is_attester:
-            return []
-        attestation = ctx.node.attestation_for(slot=ctx.slot)
-        return [AttestationAction(attestation=attestation)]
-
     def committee_key(self) -> Optional[Hashable]:
         return "honest"
 
     def attest_committee(
         self, ctx: AgentContext, members: Sequence[int]
-    ) -> List[Union[AttestationAction, AttestationBatchAction]]:
+    ) -> List[AttestationBatchAction]:
         batch = ctx.node.attestation_batch_for(slot=ctx.slot, validators=members)
         return [AttestationBatchAction(batch=batch)]
 
@@ -57,15 +49,12 @@ class OfflineAgent(ValidatorAgent):
     def propose(self, ctx: AgentContext) -> List[ProposalAction]:
         return []
 
-    def attest(self, ctx: AgentContext) -> List[AttestationAction]:
-        return []
-
     def committee_key(self) -> Optional[Hashable]:
         return "offline"
 
     def attest_committee(
         self, ctx: AgentContext, members: Sequence[int]
-    ) -> List[Union[AttestationAction, AttestationBatchAction]]:
+    ) -> List[AttestationBatchAction]:
         return []
 
 
@@ -92,12 +81,6 @@ class IntermittentAgent(ValidatorAgent):
         block = ctx.node.build_block(slot=ctx.slot)
         return [ProposalAction(block=block)]
 
-    def attest(self, ctx: AgentContext) -> List[AttestationAction]:
-        if not ctx.is_attester or not self._online(ctx.epoch):
-            return []
-        attestation = ctx.node.attestation_for(slot=ctx.slot)
-        return [AttestationAction(attestation=attestation)]
-
     def committee_key(self) -> Optional[Hashable]:
         # Agents with the same period/phase are online in the same epochs,
         # so their committee votes remain uniform within a view.
@@ -105,7 +88,7 @@ class IntermittentAgent(ValidatorAgent):
 
     def attest_committee(
         self, ctx: AgentContext, members: Sequence[int]
-    ) -> List[Union[AttestationAction, AttestationBatchAction]]:
+    ) -> List[AttestationBatchAction]:
         if not self._online(ctx.epoch):
             return []
         batch = ctx.node.attestation_batch_for(slot=ctx.slot, validators=members)

@@ -16,17 +16,17 @@ Both draw from the same counter-based hash streams as the latency models
 order — so the grouped and per-node engines, which interrogate agents in
 different orders, make byte-identical decisions.  Both profiles return
 ``committee_key() is None``: their actions are per-validator (each has
-its own delay and miss stream), so they keep the per-member attestation
-path in both sharding modes.
+its own delay and miss stream), so each is a cluster of one and its vote
+travels as a one-row batch in both sharding modes.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.agents.base import (
     AgentContext,
-    AttestationAction,
+    AttestationBatchAction,
     ProposalAction,
     ValidatorAgent,
 )
@@ -79,14 +79,14 @@ class LazyValidator(ValidatorAgent):
             return []
         return [ProposalAction(block=ctx.node.build_block(slot=ctx.slot))]
 
-    def attest(self, ctx: AgentContext) -> List[AttestationAction]:
-        if not ctx.is_attester:
-            return []
+    def attest_committee(
+        self, ctx: AgentContext, members: Sequence[int]
+    ) -> List[AttestationBatchAction]:
         missed, delay = self._duty_draws(ctx.slot)
         if missed:
             return []
-        attestation = ctx.node.attestation_for(slot=ctx.slot)
-        return [AttestationAction(attestation=attestation, delay=delay)]
+        batch = ctx.node.attestation_batch_for(slot=ctx.slot, validators=members)
+        return [AttestationBatchAction(batch=batch, delay=delay)]
 
 
 class IntermittentValidator(ValidatorAgent):
@@ -122,8 +122,10 @@ class IntermittentValidator(ValidatorAgent):
             return []
         return [ProposalAction(block=ctx.node.build_block(slot=ctx.slot))]
 
-    def attest(self, ctx: AgentContext) -> List[AttestationAction]:
-        if not ctx.is_attester or not self.is_online(ctx.epoch):
+    def attest_committee(
+        self, ctx: AgentContext, members: Sequence[int]
+    ) -> List[AttestationBatchAction]:
+        if not self.is_online(ctx.epoch):
             return []
-        attestation = ctx.node.attestation_for(slot=ctx.slot)
-        return [AttestationAction(attestation=attestation)]
+        batch = ctx.node.attestation_batch_for(slot=ctx.slot, validators=members)
+        return [AttestationBatchAction(batch=batch)]

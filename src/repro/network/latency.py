@@ -22,10 +22,11 @@ message identity, or the audience it was sampled in.  Same seed ⇒
 byte-identical delivery schedules, regardless of how recipients are
 chunked into queries.  Crucially the key uses the payload *class*, not
 the concrete message: a committee's votes travel as one
-:class:`~repro.core.attestation_batch.AttestationBatch` under view
-sharding but as per-validator attestations in the per-node fallback, and
-both packagings must sample identical delivery times for the
-grouped==per-node equivalence contract to survive.  For the same reason
+:class:`~repro.core.attestation_batch.AttestationBatch` per view group
+under view sharding but as one-row batches in the per-node fallback
+(every validator is its own view there), and both packagings must
+sample identical delivery times for the grouped==per-node equivalence
+contract to survive.  For the same reason
 :class:`GossipPropagation` roots attestation-phase traffic at a
 deterministic per-phase *virtual source* rather than at the (packaging
 dependent) message sender; block proposals, which are identical objects
@@ -74,12 +75,10 @@ from repro.network.partition import PartitionSchedule
 
 _MASK64 = (1 << 64) - 1
 
-#: Payload classes for latency keying.  ``ATTESTATION`` and
-#: ``ATTESTATION_BATCH`` deliberately share a class: the two are
-#: alternative packagings of the same votes (see module docstring).
+#: Payload classes for latency keying.  A vote's class does not depend on
+#: how many votes its batch packs (see module docstring).
 _CLASS_OF_KIND = {
     MessageKind.BLOCK: 1,
-    MessageKind.ATTESTATION: 2,
     MessageKind.ATTESTATION_BATCH: 2,
     MessageKind.SLASHING_EVIDENCE: 3,
 }
@@ -448,7 +447,7 @@ class GossipPropagation(LatencyModel):
     * block proposals and their sender are identical objects in both
       sharding modes, so blocks use ``message.sender`` as the origin;
     * attestation-phase traffic is packaged differently per mode (one
-      batch per view group vs per-validator messages), so its origin is
+      batch per view group vs one-row batches), so its origin is
       a deterministic *virtual source* hashed from the send time — the
       subnet-aggregation point of the phase, identical in both modes.
 

@@ -1,14 +1,18 @@
-"""Message envelopes exchanged between validator nodes."""
+"""Message envelopes exchanged between validator nodes.
+
+Votes have one wire format: an
+:class:`~repro.core.attestation_batch.AttestationBatch`, whether it
+carries a whole committee's identical votes or one validator's.
+"""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Union
+from typing import Union
 
 from repro.core.attestation_batch import AttestationBatch
-from repro.spec.attestation import Attestation
 from repro.spec.block import BeaconBlock
 from repro.spec.slashing import SlashingEvidence
 
@@ -18,19 +22,18 @@ _message_counter = itertools.count()
 class MessageKind(str, Enum):
     """The payload kinds circulating on the gossip network.
 
-    ``ATTESTATION_BATCH`` carries a whole committee's identical votes as
-    one flat-array payload — the batch-native fast path, also taken by
-    the adversary's coordinated votes (one batch per branch); per-validator
-    ``ATTESTATION`` messages remain for agents without a committee key.
+    ``ATTESTATION_BATCH`` carries one cluster's identical votes as one
+    flat-array payload: a committee's honest votes, the adversary's
+    coordinated votes (one batch per branch), or a lone validator's vote
+    as a one-row batch.
     """
 
     BLOCK = "block"
-    ATTESTATION = "attestation"
     ATTESTATION_BATCH = "attestation_batch"
     SLASHING_EVIDENCE = "slashing_evidence"
 
 
-Payload = Union[BeaconBlock, Attestation, AttestationBatch, SlashingEvidence]
+Payload = Union[BeaconBlock, AttestationBatch, SlashingEvidence]
 
 
 @dataclass(frozen=True)
@@ -55,15 +58,10 @@ class Message:
         return Message(MessageKind.BLOCK, block, sender, sent_at)
 
     @staticmethod
-    def attestation(attestation: Attestation, sender: int, sent_at: float) -> "Message":
-        """Wrap an attestation."""
-        return Message(MessageKind.ATTESTATION, attestation, sender, sent_at)
-
-    @staticmethod
     def attestation_batch(
         batch: AttestationBatch, sender: int, sent_at: float
     ) -> "Message":
-        """Wrap a committee attestation batch (sender: any batch member)."""
+        """Wrap an attestation batch (sender: any batch member)."""
         return Message(MessageKind.ATTESTATION_BATCH, batch, sender, sent_at)
 
     @staticmethod

@@ -36,26 +36,23 @@ so every endpoint stays live for the whole run.  Per-slot cost stays
 O(live groups): a balancing attack at 10k validators runs with ~3 groups,
 not 10k nodes.
 
-**Batch-native message flow.**  Committee members of one view with the
-same committee key are clustered per slot and their identical votes
-travel as a single :class:`~repro.core.attestation_batch.AttestationBatch`
-message — honest votes as one batch, an attack's coordinated votes as one
-batch per branch voted on.  Agents without a key (the stochastic behaviour
-profiles) keep per-validator messages.  Both modes share this flow —
+**One vote packaging.**  Every vote travels as an
+:class:`~repro.core.attestation_batch.AttestationBatch` message.
+Committee members of one view with the same committee key are clustered
+per slot and their identical votes travel as one batch — honest votes as
+one batch, an attack's coordinated votes as one batch per branch voted
+on.  Agents without a key (the stochastic behaviour profiles) are
+clusters of one and send one-row batches.  Both modes share this flow —
 sharding changes who ingests a message, never what is sent.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple, Union
-
-#: Observers are called as ``observer(engine, epoch)`` after each epoch's
-#: processing (see :mod:`repro.sim.observers` for ready-made ones).
-EngineObserver = Callable[["SimulationEngine", int], None]
 
 from repro.agents.base import (
     AgentContext,
-    AttestationAction,
     AttestationBatchAction,
     ProposalAction,
     ValidatorAgent,
@@ -73,6 +70,10 @@ from repro.spec.committees import DutyScheduler, EpochDuties
 from repro.spec.config import SpecConfig
 from repro.spec.finality import conflicting_finalized_checkpoints
 from repro.spec.validator import Registry, Validator
+
+#: Observers are called as ``observer(engine, epoch)`` after each epoch's
+#: processing (see :mod:`repro.sim.observers` for ready-made ones).
+EngineObserver = Callable[["SimulationEngine", int], None]
 
 
 class SimulationEngine:
@@ -199,10 +200,9 @@ class SimulationEngine:
         # Memoized safety check (see _finalized_chains_conflict).
         self._safety_latched = False
         self._safety_cache: Optional[Tuple[Tuple, bool, bool]] = None
-        # Per-epoch duty cache: duties plus per-slot committee sets, so a
-        # slot's contexts stop recomputing/rescannning committees per
-        # validator.
-        self._duty_cache: Dict[int, Tuple[EpochDuties, List[frozenset]]] = {}
+        # Per-epoch duty cache, so a slot's contexts stop recomputing
+        # committees per validator.
+        self._duty_cache: Dict[int, EpochDuties] = {}
 
     # ------------------------------------------------------------------
     # View-group computation
@@ -366,17 +366,16 @@ class SimulationEngine:
         """Indices of Byzantine validators."""
         return [index for index, agent in self.agents.items() if agent.is_byzantine]
 
-    def _duties_for_epoch(self, epoch: int) -> Tuple[EpochDuties, List[frozenset]]:
-        cached = self._duty_cache.get(epoch)
-        if cached is None:
+    def _duties_for_epoch(self, epoch: int) -> EpochDuties:
+        duties = self._duty_cache.get(epoch)
+        if duties is None:
             duties = self.scheduler.duties_for_epoch(epoch, self.registry)
-            cached = (duties, duties.committee_sets())
-            self._duty_cache[epoch] = cached
-        return cached
+            self._duty_cache[epoch] = duties
+        return duties
 
     def _context_for(self, validator_index: int, slot: int, time: float) -> AgentContext:
         epoch = self.config.epoch_of_slot(slot)
-        duties, committee_sets = self._duties_for_epoch(epoch)
+        duties = self._duties_for_epoch(epoch)
         offset = slot % self.config.slots_per_epoch
         return AgentContext(
             validator_index=validator_index,
@@ -386,7 +385,6 @@ class SimulationEngine:
             node=self.nodes[validator_index],
             duties=duties,
             is_proposer=duties.proposers[offset] == validator_index,
-            is_attester=validator_index in committee_sets[offset],
             partition_names=self._partition_names,
         )
 
@@ -408,54 +406,27 @@ class SimulationEngine:
         else:
             self.adversary.send_to_partition(message, action.audience, delay=action.delay)
 
-    def _route_attestation_message(
-        self,
-        message: Message,
-        audience: Optional[str],
-        withhold: bool,
-        recipients: Optional[Tuple[int, ...]] = None,
-        delay: float = 0.0,
-    ) -> None:
-        if withhold:
-            self.adversary.withhold(message, self._endpoints)
-            return
-        if recipients is not None:
-            self.adversary.send_to_validators(message, recipients, delay)
-        elif audience is None:
-            self.network.broadcast(message, delay=delay)
-        else:
-            self.adversary.send_to_partition(message, audience, delay=delay)
-
-    def _publish_attestation(
-        self, action: AttestationAction, sender: int, time: float
-    ) -> None:
-        message = Message.attestation(action.attestation, sender=sender, sent_at=time)
-        self._route_attestation_message(
-            message,
-            action.audience,
-            action.withhold,
-            action.recipients,
-            action.delay,
-        )
-
     def _publish_batch(self, action: AttestationBatchAction, time: float) -> None:
         batch = action.batch
         message = Message.attestation_batch(
             batch, sender=int(batch.validators[0]), sent_at=time
         )
-        self._route_attestation_message(
-            message,
-            action.audience,
-            action.withhold,
-            action.recipients,
-            action.delay,
-        )
+        if action.withhold:
+            self.adversary.withhold(message, self._endpoints)
+        elif action.recipients is not None:
+            self.adversary.send_to_validators(message, action.recipients, action.delay)
+        elif action.audience is None:
+            self.network.broadcast(message, delay=action.delay)
+        else:
+            self.adversary.send_to_partition(
+                message, action.audience, delay=action.delay
+            )
 
     # ------------------------------------------------------------------
     # Slot phases
     # ------------------------------------------------------------------
     def _run_proposals(self, slot: int, time: float) -> None:
-        duties, _ = self._duties_for_epoch(self.config.epoch_of_slot(slot))
+        duties = self._duties_for_epoch(self.config.epoch_of_slot(slot))
         proposer = duties.proposer_for_slot(slot, self.config.slots_per_epoch)
         agent = self.agents[proposer]
         ctx = self._context_for(proposer, slot, time)
@@ -465,35 +436,28 @@ class SimulationEngine:
     def _run_attestations(self, slot: int, time: float) -> None:
         """Collect and publish the slot committee's attestations.
 
-        Batch-capable committee members are clustered per (view group,
-        committee key) and asked once per cluster; per-validator agents
-        keep the per-member path.  Clusters publish after the singles, in
-        first-appearance order — a fixed, deterministic schedule shared by
-        both sharding modes.
+        Committee members are clustered per (view group, committee key)
+        and each cluster is asked once.  Agents without a key are
+        clusters of one and publish first, in committee order; the keyed
+        clusters follow in first-appearance order — a fixed,
+        deterministic schedule shared by both sharding modes.
         """
-        duties, _ = self._duties_for_epoch(self.config.epoch_of_slot(slot))
+        duties = self._duties_for_epoch(self.config.epoch_of_slot(slot))
         committee = duties.committee_for_slot(slot, self.config.slots_per_epoch)
+        solo: List[List[int]] = []
         # Insertion order of the dict IS the first-appearance order.
         clusters: Dict[Tuple[str, Hashable], List[int]] = {}
         for index in committee:
-            agent = self.agents[index]
-            key = agent.committee_key()
+            key = self.agents[index].committee_key()
             if key is None:
-                ctx = self._context_for(index, slot, time)
-                for action in agent.attest(ctx):
-                    self._publish_attestation(action, sender=index, time=time)
-                continue
-            clusters.setdefault((self.group_of[index], key), []).append(index)
-        for members in clusters.values():
+                solo.append([index])
+            else:
+                clusters.setdefault((self.group_of[index], key), []).append(index)
+        for members in chain(solo, clusters.values()):
             leader = members[0]
             ctx = self._context_for(leader, slot, time)
             for action in self.agents[leader].attest_committee(ctx, members):
-                if isinstance(action, AttestationBatchAction):
-                    self._publish_batch(action, time=time)
-                else:
-                    self._publish_attestation(
-                        action, sender=action.attestation.validator_index, time=time
-                    )
+                self._publish_batch(action, time=time)
 
     # ------------------------------------------------------------------
     # Epoch bookkeeping

@@ -14,19 +14,21 @@ only per-validator state a view carries is *consumption*: which of the
 seen attestations and evidence each member has already included in its own
 blocks, tracked as per-member cursors over shared append-only logs (the
 O(included) replacement for the old per-build list re-slicing).
-Per-member defaults (``attestation_for``, ``build_block``) are exposed for
+The per-member default proposer of ``build_block`` is exposed for
 non-representative members through the lightweight :class:`MemberView`
 facade returned by :meth:`Node.for_member`.
 
-Ingestion is batch-native: a committee's identical votes arrive as one
-:class:`repro.core.attestation_batch.AttestationBatch` and are ingested in
-one call — bulk :meth:`FlatVotePool.add_batch`, vectorized fork-choice
-latest-message update, array-append activity accounting, an array check
-in the slashing detector.  The adversary's coordinated votes batch too:
-an equivocation is one batch per branch, each uniform in itself.  A
-block's carried attestations are regrouped into batches (consecutive
-rows of one vote) on the way in, and the inclusion log keeps batches
-unexpanded until a proposer slices them.
+Votes have one path in: every vote arrives as an
+:class:`repro.core.attestation_batch.AttestationBatch` — a committee's
+identical votes, one branch of the adversary's equivocation, or a lone
+validator's vote as a one-row batch — and is ingested in one call: bulk
+:meth:`FlatVotePool.add_batch`, vectorized fork-choice latest-message
+update, array-append activity accounting, an array check in the
+slashing detector (a one-row batch takes the cheaper row updates of
+the same structures instead).  A block's carried attestations are
+regrouped into batches (runs of consecutive rows of one vote) on the
+way in, a batch whose head is unknown pends whole, and the inclusion
+log keeps batches unexpanded until a proposer slices them.
 Activity (``active_indices_for_epoch``) is computed by array comparison
 over the per-epoch vote columns instead of a per-attestation set scan.
 """
@@ -46,7 +48,7 @@ from repro.network.message import Message, MessageKind
 from repro.spec.attestation import Attestation, attestations_from_batch
 from repro.spec.block import BeaconBlock
 from repro.spec.blocktree import UnknownBlockError
-from repro.spec.checkpoint import Checkpoint, FFGVote
+from repro.spec.checkpoint import Checkpoint
 from repro.spec.config import SpecConfig
 from repro.spec.finality import FFGVotePool
 from repro.spec.forkchoice import Store
@@ -55,9 +57,6 @@ from repro.spec.state import BeaconState
 from repro.spec.state_transition import ChainHistory, EpochReport, process_epoch
 from repro.spec.types import Root
 from repro.spec.validator import Registry, Validator
-
-#: Entries the network can hand to a node's attestation path.
-AttestationLike = Union[Attestation, AttestationBatch]
 
 #: Attestations whose target epoch has fallen more than this many epochs
 #: behind the processed epoch are dropped from the inclusion log and the
@@ -72,18 +71,18 @@ _NO_VALIDATORS = np.zeros(0, dtype=np.int64)
 class InclusionLog:
     """Append-only log of the attestations a view may include, by row.
 
-    Entries are single attestations or whole committee batches, kept
-    unexpanded; a batch stands for its rows in validator order.  Cursors
-    and slices count rows, so the log reads exactly like the flat list of
-    :class:`Attestation` rows it stands for.  A batch is expanded the first
-    time a slice reaches it, and every later slice — by any proposer of
-    the view — reuses that expansion.
+    Entries are attestation batches, kept unexpanded; a batch stands for
+    its rows in validator order.  Cursors and slices count rows, so the
+    log reads exactly like the flat list of :class:`Attestation` rows it
+    stands for.  A batch is expanded the first time a slice reaches it,
+    and every later slice — by any proposer of the view — reuses that
+    expansion.
     """
 
     __slots__ = ("_entries", "_starts", "_expanded", "_rows")
 
     def __init__(self) -> None:
-        self._entries: List[AttestationLike] = []
+        self._entries: List[AttestationBatch] = []
         #: Row offset of each entry.
         self._starts: List[int] = []
         #: Each entry's rows once expanded (``None`` until first sliced).
@@ -106,21 +105,17 @@ class InclusionLog:
         return iter(self.slice(0, self._rows))
 
     def append(
-        self, entry: AttestationLike, rows: Optional[Sequence[Attestation]] = None
+        self, batch: AttestationBatch, rows: Optional[Sequence[Attestation]] = None
     ) -> None:
-        """Add one attestation, or a batch standing for its rows.
+        """Add a batch standing for its rows.
 
-        ``rows``, when the caller already holds a batch's rows (a block
+        ``rows``, when the caller already holds the batch's rows (a block
         carried them), serve as its expansion.
         """
         self._starts.append(self._rows)
-        self._entries.append(entry)
-        if isinstance(entry, AttestationBatch):
-            self._expanded.append(rows)
-            self._rows += len(entry)
-        else:
-            self._expanded.append((entry,))
-            self._rows += 1
+        self._entries.append(batch)
+        self._expanded.append(rows)
+        self._rows += len(batch)
 
     def slice(self, start: int, stop: int) -> List[Attestation]:
         """Rows ``start:stop``, expanding only the batches they reach."""
@@ -171,7 +166,7 @@ class InclusionLog:
         for entry, kept_entry in zip(self._entries, keep):
             kept_starts.append(kept)
             if kept_entry:
-                kept += 1 if isinstance(entry, Attestation) else len(entry)
+                kept += len(entry)
         rebased = {}
         for member, cursor in cursors.items():
             position = bisect_right(self._starts, cursor) - 1
@@ -189,7 +184,7 @@ class PendingQueues:
     """Blocks and attestations whose ancestry has not been delivered yet."""
 
     blocks: List[BeaconBlock] = field(default_factory=list)
-    attestations: List[AttestationLike] = field(default_factory=list)
+    attestations: List[AttestationBatch] = field(default_factory=list)
 
 
 class Node:
@@ -399,8 +394,6 @@ class Node:
         """Process a delivered network message."""
         if message.kind is MessageKind.BLOCK:
             self._receive_block(message.payload)  # type: ignore[arg-type]
-        elif message.kind is MessageKind.ATTESTATION:
-            self._receive_attestation(message.payload)  # type: ignore[arg-type]
         elif message.kind is MessageKind.ATTESTATION_BATCH:
             self._receive_attestation_batch(message.payload)  # type: ignore[arg-type]
         elif message.kind is MessageKind.SLASHING_EVIDENCE:
@@ -427,9 +420,9 @@ class Node:
         Consecutive rows with the same slot, head and FFG vote are the
         rows of one expanded batch (they share the head and vote objects,
         so an identity check finds them) and are received as one
-        :class:`AttestationBatch`; anything else arrives row by row.
-        Either way the node ends up exactly as if it had received every
-        row on its own.
+        :class:`AttestationBatch`; a lone row is a one-row batch.  Either
+        way the node ends up exactly as if it had received every row on
+        its own.
         """
         count = len(attestations)
         start = 0
@@ -443,30 +436,18 @@ class Node:
                 and attestations[end].slot == first.slot
             ):
                 end += 1
-            if end - start == 1:
-                self._receive_attestation(first)
-            else:
-                rows = attestations[start:end]
-                batch = AttestationBatch(
-                    slot=first.slot,
-                    head_root=first.head_root,
-                    source=first.ffg.source,
-                    target=first.ffg.target,
-                    validators=np.fromiter(
-                        (a.validator_index for a in rows),
-                        dtype=np.int64,
-                        count=end - start,
-                    ),
-                )
-                self._receive_attestation_batch(batch, rows)
+            rows = attestations[start:end]
+            batch = AttestationBatch(
+                slot=first.slot,
+                head_root=first.head_root,
+                source=first.ffg.source,
+                target=first.ffg.target,
+                validators=np.array(
+                    [a.validator_index for a in rows], dtype=np.int64
+                ),
+            )
+            self._receive_attestation_batch(batch, rows)
             start = end
-
-    def _receive_attestation(self, attestation: Attestation) -> None:
-        self.attestations_received += 1
-        if attestation.head_root not in self.store.tree:
-            self.pending.attestations.append(attestation)
-            return
-        self._ingest_attestation(attestation)
 
     def _receive_attestation_batch(
         self, batch: AttestationBatch, rows: Optional[Sequence[Attestation]] = None
@@ -484,21 +465,6 @@ class Node:
             self.attestations_by_epoch[target_epoch] = columns
         return columns
 
-    def _ingest_attestation(self, attestation: Attestation) -> None:
-        self.store.on_attestation(attestation)
-        self.pool.add_attestation(attestation)
-        flat = self.pool.flat
-        self._seen_columns(attestation.target_epoch).append(
-            attestation.validator_index,
-            attestation.source.epoch,
-            flat.intern_root(attestation.source.root),
-            flat.intern_root(attestation.target.root),
-        )
-        self._inclusion_log.append(attestation)
-        evidence = self.detector.observe(attestation)
-        if evidence is not None:
-            self._evidence_log.append(evidence)
-
     def _ingest_batch(
         self, batch: AttestationBatch, rows: Optional[Sequence[Attestation]] = None
     ) -> None:
@@ -511,9 +477,29 @@ class Node:
         here.  The pool tallies link stake per batch rather than per row,
         which is why it must stay unweighted for batch ingest to equal
         row-by-row ingest.
+
+        A one-row batch (a lone vote) takes the row APIs instead, which
+        cost less than the array ones on a single row, and its one
+        :class:`Attestation` row doubles as the inclusion log's expansion.
         """
         if self.pool.flat.weighted:
             raise ValueError("view nodes need an unweighted FFG vote pool")
+        if batch.validators.shape[0] == 1:
+            row = rows[0] if rows else attestations_from_batch(batch)[0]
+            self.store.on_attestation(row)
+            self.pool.add_attestation(row)
+            flat = self.pool.flat
+            self._seen_columns(row.target_epoch).append(
+                row.validator_index,
+                row.source.epoch,
+                flat.intern_root(row.source.root),
+                flat.intern_root(row.target.root),
+            )
+            self._inclusion_log.append(batch, (row,))
+            evidence = self.detector.observe(row)
+            if evidence is not None:
+                self._evidence_log.append(evidence)
+            return
         self.store.on_attestation_batch(
             batch.validators, batch.target_epoch, batch.head_root
         )
@@ -555,16 +541,13 @@ class Node:
                 else:
                     still_pending.append(block)
             self.pending.blocks = still_pending
-            still_pending_attestations: List[AttestationLike] = []
-            for entry in self.pending.attestations:
-                if entry.head_root in self.store.tree:
-                    if isinstance(entry, AttestationBatch):
-                        self._ingest_batch(entry)
-                    else:
-                        self._ingest_attestation(entry)
+            still_pending_attestations: List[AttestationBatch] = []
+            for batch in self.pending.attestations:
+                if batch.head_root in self.store.tree:
+                    self._ingest_batch(batch)
                     progress = True
                 else:
-                    still_pending_attestations.append(entry)
+                    still_pending_attestations.append(batch)
             self.pending.attestations = still_pending_attestations
 
     # ------------------------------------------------------------------
@@ -616,47 +599,6 @@ class Node:
             self._checkpoint_cache[key] = checkpoint
         return checkpoint
 
-    def _vote(
-        self, slot: int, head: Optional[Root], source: Optional[Checkpoint]
-    ) -> Tuple[Root, Checkpoint, Checkpoint]:
-        """Head, source and target of this view's vote for ``slot``.
-
-        ``head`` defaults to the fork-choice head and ``source`` to the
-        current justified checkpoint; the target is the current epoch's
-        checkpoint on the head's chain.
-        """
-        head_root = head if head is not None else self.head()
-        if source is None:
-            source = self.state.current_justified_checkpoint
-        target = self.checkpoint_of_epoch(self.config.epoch_of_slot(slot), head_root)
-        return head_root, source, target
-
-    def attestation_for(
-        self,
-        slot: int,
-        head: Optional[Root] = None,
-        source: Optional[Checkpoint] = None,
-        validator_index: Optional[int] = None,
-    ) -> Attestation:
-        """Build the protocol-following attestation for ``slot``.
-
-        The block vote is the fork-choice head; the checkpoint vote links the
-        node's current justified checkpoint (or an explicit ``source``, used
-        by Byzantine agents voting on a branch whose justification history
-        differs from their own) to the current epoch's checkpoint on that
-        head's chain.  ``validator_index`` selects the attesting member
-        (default: the node's own validator).
-        """
-        head_root, source, target = self._vote(slot, head, source)
-        return Attestation(
-            validator_index=(
-                validator_index if validator_index is not None else self.validator_index
-            ),
-            slot=slot,
-            head_root=head_root,
-            ffg=FFGVote(source=source, target=target),
-        )
-
     def attestation_batch_for(
         self,
         slot: int,
@@ -664,14 +606,20 @@ class Node:
         head: Optional[Root] = None,
         source: Optional[Checkpoint] = None,
     ) -> AttestationBatch:
-        """The committee batch of ``validators``' attestations for ``slot``.
+        """The batch of ``validators``' protocol-following votes for ``slot``.
 
-        All ``validators`` share this view, so head, source and target are
-        computed once (with the same defaults and overrides as
-        :meth:`attestation_for`) and the batch carries only the validator
-        array.
+        All ``validators`` share this view, so the vote is computed once
+        and the batch carries only the validator array.  The block vote
+        is the fork-choice head; the checkpoint vote links the node's
+        current justified checkpoint to the current epoch's checkpoint on
+        that head's chain.  An explicit ``head`` or ``source`` overrides
+        the default (Byzantine agents voting on a branch whose
+        justification history differs from their own).
         """
-        head_root, source, target = self._vote(slot, head, source)
+        head_root = head if head is not None else self.head()
+        if source is None:
+            source = self.state.current_justified_checkpoint
+        target = self.checkpoint_of_epoch(self.config.epoch_of_slot(slot), head_root)
         return AttestationBatch(
             slot=slot,
             head_root=head_root,
@@ -857,11 +805,10 @@ class MemberView:
     """A validator-specific facade over a shared view :class:`Node`.
 
     Everything except identity delegates to the underlying node; identity
-    shows up in three places — ``validator_index`` itself, the default
-    attester of :meth:`attestation_for`, the proposer (and inclusion
-    cursors) of :meth:`build_block` — plus the member-local inclusion
-    queues.  Agents, observers and result collectors treat it exactly
-    like a node of its own.
+    shows up in two places — ``validator_index`` itself and the proposer
+    (and inclusion cursors) of :meth:`build_block` — plus the member-local
+    inclusion queues.  Agents, observers and result collectors treat it
+    exactly like a node of its own.
     """
 
     __slots__ = ("node", "validator_index")
@@ -877,22 +824,6 @@ class MemberView:
         return f"MemberView(validator={self.validator_index}, node={self.node.validator_index})"
 
     # -- identity-sensitive delegations --------------------------------
-    def attestation_for(
-        self,
-        slot: int,
-        head: Optional[Root] = None,
-        source: Optional[Checkpoint] = None,
-        validator_index: Optional[int] = None,
-    ) -> Attestation:
-        return self.node.attestation_for(
-            slot,
-            head=head,
-            source=source,
-            validator_index=(
-                validator_index if validator_index is not None else self.validator_index
-            ),
-        )
-
     def build_block(
         self,
         slot: int,

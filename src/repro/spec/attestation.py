@@ -93,12 +93,8 @@ def attestations_from_batch(batch: "AttestationBatch") -> List[Attestation]:
     the slashing detector); the array paths never expand.
     """
     ffg = FFGVote(source=batch.source, target=batch.target)
+    slot, head_root = batch.slot, batch.head_root
     return [
-        Attestation(
-            validator_index=int(validator),
-            slot=batch.slot,
-            head_root=batch.head_root,
-            ffg=ffg,
-        )
+        Attestation(validator_index=validator, slot=slot, head_root=head_root, ffg=ffg)
         for validator in batch.validators.tolist()
     ]

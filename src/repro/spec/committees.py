@@ -58,14 +58,6 @@ class EpochDuties:
         offset = slot % slots_per_epoch
         return self.attestation_committees[offset]
 
-    def committee_sets(self) -> List[frozenset]:
-        """Per-slot committee membership as frozensets (O(1) ``in`` checks).
-
-        The engine caches the result once per epoch so per-validator
-        attester checks stop re-scanning committee tuples.
-        """
-        return [frozenset(committee) for committee in self.attestation_committees]
-
     def attestation_slot_of(self, validator_index: int, slots_per_epoch: int) -> Optional[int]:
         """Return the slot offset at which ``validator_index`` must attest.
 

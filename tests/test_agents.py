@@ -7,6 +7,7 @@ from repro.agents.byzantine import AlternatingAgent, BouncingAgent, DoubleVoting
 from repro.agents.honest import HonestAgent, IntermittentAgent, OfflineAgent
 from repro.network.message import Message
 from repro.sim.node import Node
+from repro.spec.attestation import attestations_from_batch
 from repro.spec.block import BeaconBlock
 from repro.spec.committees import DutyScheduler
 from repro.spec.config import SpecConfig
@@ -25,7 +26,6 @@ def make_context(
     node: Node,
     slot: int = 1,
     is_proposer: bool = True,
-    is_attester: bool = True,
 ) -> AgentContext:
     scheduler = DutyScheduler(CONFIG, seed="agents")
     registry = make_registry(8, CONFIG)
@@ -37,9 +37,19 @@ def make_context(
         node=node,
         duties=scheduler.duties_for_epoch(CONFIG.epoch_of_slot(slot), registry),
         is_proposer=is_proposer,
-        is_attester=is_attester,
         partition_names=list(PARTITIONS),
     )
+
+
+def attest(agent, ctx: AgentContext):
+    """The agent's votes as a cluster of one: its own validator only."""
+    return agent.attest_committee(ctx, [ctx.validator_index])
+
+
+def vote_of(action):
+    """The single attestation a one-row batch action stands for."""
+    (attestation,) = attestations_from_batch(action.batch)
+    return attestation
 
 
 def feed_fork(node: Node, slot: int = 1):
@@ -64,9 +74,9 @@ class TestHonestAgent:
         node = make_node()
         a, _ = feed_fork(node)
         agent = HonestAgent(node.validator_index)
-        actions = agent.attest(make_context(node, is_attester=True))
+        actions = attest(agent, make_context(node))
         assert len(actions) == 1
-        assert actions[0].attestation.head_root == node.head()
+        assert vote_of(actions[0]).head_root == node.head()
         assert not actions[0].withhold
 
     def test_not_byzantine(self):
@@ -78,15 +88,15 @@ class TestOfflineAndIntermittent:
         node = make_node()
         agent = OfflineAgent(node.validator_index)
         ctx = make_context(node)
-        assert agent.propose(ctx) == [] and agent.attest(ctx) == []
+        assert agent.propose(ctx) == [] and attest(agent, ctx) == []
 
     def test_intermittent_agent_active_every_other_epoch(self):
         node = make_node()
         agent = IntermittentAgent(node.validator_index, period=2, phase=0)
         epoch0 = make_context(node, slot=1)
         epoch1 = make_context(node, slot=1 + CONFIG.slots_per_epoch)
-        assert agent.attest(epoch0)
-        assert agent.attest(epoch1) == []
+        assert attest(agent, epoch0)
+        assert attest(agent, epoch1) == []
 
     def test_intermittent_rejects_bad_period(self):
         with pytest.raises(ValueError):
@@ -98,9 +108,9 @@ class TestDoubleVotingAgent:
         node = make_node()
         a, b = feed_fork(node)
         agent = DoubleVotingAgent(node.validator_index, PARTITIONS)
-        actions = agent.attest(make_context(node))
+        actions = attest(agent, make_context(node))
         assert len(actions) == 2
-        heads = {action.attestation.head_root for action in actions}
+        heads = {vote_of(action).head_root for action in actions}
         assert heads == {a.root, b.root}
         audiences = {action.audience for action in actions}
         assert audiences == {"branch-1", "branch-2"}
@@ -111,9 +121,11 @@ class TestDoubleVotingAgent:
         node = make_node()
         feed_fork(node, slot=CONFIG.slots_per_epoch)
         agent = DoubleVotingAgent(node.validator_index, PARTITIONS)
-        first, second = agent.attest(make_context(node, slot=CONFIG.slots_per_epoch + 1))
-        assert first.attestation.target != second.attestation.target
-        assert first.attestation.is_slashable_with(second.attestation)
+        first, second = map(
+            vote_of, attest(agent, make_context(node, slot=CONFIG.slots_per_epoch + 1))
+        )
+        assert first.target != second.target
+        assert first.is_slashable_with(second)
 
     def test_proposes_on_both_branches(self):
         node = make_node()
@@ -139,8 +151,8 @@ class TestAlternatingAgent:
         agent = AlternatingAgent(node.validator_index, PARTITIONS)
         epoch0 = make_context(node, slot=1)
         epoch1 = make_context(node, slot=1 + CONFIG.slots_per_epoch)
-        action0 = agent.attest(epoch0)[0]
-        action1 = agent.attest(epoch1)[0]
+        action0 = attest(agent, epoch0)[0]
+        action1 = attest(agent, epoch1)[0]
         assert action0.audience == "branch-1"
         assert action1.audience == "branch-2"
 
@@ -148,9 +160,9 @@ class TestAlternatingAgent:
         node = make_node()
         feed_fork(node)
         agent = AlternatingAgent(node.validator_index, PARTITIONS)
-        action0 = agent.attest(make_context(node, slot=1))[0]
-        action1 = agent.attest(make_context(node, slot=1 + CONFIG.slots_per_epoch))[0]
-        assert not action0.attestation.is_slashable_with(action1.attestation)
+        action0 = attest(agent, make_context(node, slot=1))[0]
+        action1 = attest(agent, make_context(node, slot=1 + CONFIG.slots_per_epoch))[0]
+        assert not vote_of(action0).is_slashable_with(vote_of(action1))
 
     def test_burst_when_finalizer_enabled(self):
         node = make_node()
@@ -167,7 +179,7 @@ class TestBouncingAgent:
         node = make_node()
         feed_fork(node)
         agent = BouncingAgent(node.validator_index, PARTITIONS)
-        actions = agent.attest(make_context(node))
+        actions = attest(agent, make_context(node))
         assert len(actions) == 1
         assert actions[0].withhold
 
@@ -177,14 +189,8 @@ class TestBouncingAgent:
         # Two honest validators of branch-1 voted for their branch; branch-2
         # has no support, so it is the losing branch the attacker props up.
         for validator in (0, 1):
-            attestation = node.attestation_for(slot=1, head=a.root)
-            attestation = type(attestation)(
-                validator_index=validator,
-                slot=attestation.slot,
-                head_root=a.root,
-                ffg=attestation.ffg,
-            )
-            node.receive(Message.attestation(attestation, sender=validator, sent_at=1.0))
+            batch = node.attestation_batch_for(slot=1, validators=[validator], head=a.root)
+            node.receive(Message.attestation_batch(batch, sender=validator, sent_at=1.0))
         agent = BouncingAgent(node.validator_index, PARTITIONS)
-        action = agent.attest(make_context(node))[0]
-        assert action.attestation.head_root == b.root
+        action = attest(agent, make_context(node))[0]
+        assert vote_of(action).head_root == b.root

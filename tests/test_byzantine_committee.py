@@ -1,15 +1,13 @@
-"""Differential suite: per-member ``attest`` is the oracle for ``attest_committee``.
+"""Differential suite: each member's own vote is the oracle for its cluster's.
 
 Every Byzantine strategy decides a slot's votes once per branch
-(``branch_votes``) and builds either one attestation per branch for one
-validator (``attest``) or one batch per branch for a whole committee
-cluster (``attest_committee``).  Expanding each batch must give exactly
-the rows the members' own ``attest`` calls produce, with the same
-routing (``audience``/``withhold``/``recipients``/``delay``), for random
-committee subsets taken from a live simulation's adversary view.
+(``branch_votes``) and builds one batch per branch for a whole committee
+cluster (``attest_committee``).  The cluster leader's batches, expanded,
+must give exactly the rows each member produces when asked alone — a
+cluster of one, ``attest_committee(own context, [member])`` — with the
+same routing (``audience``/``withhold``/``recipients``/``delay``), for
+random committee subsets taken from a live simulation's adversary view.
 """
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -32,9 +30,8 @@ SUBSETS_PER_SLOT = 6
 
 
 def attester_context(engine, index, slot):
-    """The engine's context for ``index`` at ``slot``, on attestation duty."""
-    ctx = engine._context_for(index, slot, engine.clock.attestation_deadline(slot))
-    return dataclasses.replace(ctx, is_attester=True)
+    """The engine's context for ``index`` at ``slot``'s attestation deadline."""
+    return engine._context_for(index, slot, engine.clock.attestation_deadline(slot))
 
 
 def random_subsets(members, rng, count=SUBSETS_PER_SLOT):
@@ -45,11 +42,33 @@ def random_subsets(members, rng, count=SUBSETS_PER_SLOT):
 
 
 def assert_committee_matches_members(engine, members, slot):
-    """One ``attest_committee`` call equals the members' ``attest`` calls."""
+    """One ``attest_committee`` call equals the members' singleton calls.
+
+    Both sides go through ``attest_committee``, so each batch is also
+    checked against the branch vote it was built from: its head and
+    source are the vote's, or the view's own head and justified
+    checkpoint where the vote leaves them open, and its routing is the
+    vote's.
+    """
     leader = engine.agents[members[0]]
-    batch_actions = leader.attest_committee(attester_context(engine, members[0], slot), members)
+    leader_ctx = attester_context(engine, members[0], slot)
+    batch_actions = leader.attest_committee(leader_ctx, members)
+    node = leader_ctx.node
+    votes = leader.branch_votes(leader_ctx)
+    assert len(votes) == len(batch_actions)
+    for vote, batch_action in zip(votes, batch_actions):
+        head = vote.head if vote.head is not None else node.head()
+        source = vote.source
+        if source is None:
+            source = node.state.current_justified_checkpoint
+        assert batch_action.batch.head_root == head
+        assert batch_action.batch.source == source
+        for field in ROUTING:
+            assert getattr(batch_action, field) == getattr(vote, field), field
     singles = [
-        engine.agents[index].attest(attester_context(engine, index, slot))
+        engine.agents[index].attest_committee(
+            attester_context(engine, index, slot), [index]
+        )
         for index in members
     ]
     assert batch_actions
@@ -60,7 +79,7 @@ def assert_committee_matches_members(engine, members, slot):
         assert [row.validator_index for row in rows] == members
         for row, actions in zip(rows, singles):
             single = actions[branch]
-            assert single.attestation == row
+            assert attestations_from_batch(single.batch) == [row]
             for field in ROUTING:
                 assert getattr(single, field) == getattr(batch_action, field), field
     return batch_actions
@@ -199,15 +218,34 @@ class TestCoalitionSharing:
         assert twin._left_audience is swayer._left_audience
 
     def test_engine_uses_the_committee_path(self, monkeypatch):
-        def fail(self, ctx):
-            raise AssertionError("per-member attest called by the engine")
+        """The engine asks the adversary's view once per slot, for all its
+        committee members together, never member by member."""
+        calls = []
+        original = CoalitionAgent.attest_committee
 
-        monkeypatch.setattr(CoalitionAgent, "attest", fail)
+        def recording(self, ctx, members):
+            calls.append((ctx.slot, list(members)))
+            return original(self, ctx, members)
+
+        monkeypatch.setattr(CoalitionAgent, "attest_committee", recording)
         engine = build_partitioned_simulation(
-            n_validators=12,
+            n_validators=32,
             p0=0.5,
             byzantine_fraction=0.25,
             byzantine_strategy="double-voting",
         )
         result = engine.run(2)
         assert result.epochs_run == 2
+        members = adversary_view_members(engine)
+        slots_per_epoch = engine.config.slots_per_epoch
+        expected = []
+        for slot in range(2 * slots_per_epoch):
+            duties = engine.scheduler.duties_for_epoch(
+                slot // slots_per_epoch, engine.registry
+            )
+            committee = duties.committee_for_slot(slot, slots_per_epoch)
+            voters = [index for index in committee if index in members]
+            if voters:
+                expected.append((slot, voters))
+        assert calls == expected
+        assert any(len(voters) > 1 for _, voters in calls)

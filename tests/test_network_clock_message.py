@@ -1,12 +1,13 @@
 """Tests for repro.network.clock and repro.network.message."""
 
+import numpy as np
 import pytest
 
+from repro.core.attestation_batch import AttestationBatch
 from repro.network.clock import SlotClock
 from repro.network.message import Delivery, Message, MessageKind
-from repro.spec.attestation import Attestation
 from repro.spec.block import BeaconBlock
-from repro.spec.checkpoint import Checkpoint, FFGVote, GENESIS_CHECKPOINT
+from repro.spec.checkpoint import Checkpoint, GENESIS_CHECKPOINT
 from repro.spec.config import SpecConfig
 from repro.spec.types import GENESIS_ROOT, Root
 
@@ -54,12 +55,13 @@ class TestSlotClock:
 
 
 class TestMessage:
-    def _attestation(self) -> Attestation:
-        return Attestation(
-            validator_index=1,
+    def _attestation(self) -> AttestationBatch:
+        return AttestationBatch(
             slot=1,
             head_root=Root.from_label("h"),
-            ffg=FFGVote(source=GENESIS_CHECKPOINT, target=Checkpoint(epoch=0, root=GENESIS_ROOT)),
+            source=GENESIS_CHECKPOINT,
+            target=Checkpoint(epoch=0, root=GENESIS_ROOT),
+            validators=np.array([1]),
         )
 
     def test_block_wrapper(self):
@@ -70,8 +72,10 @@ class TestMessage:
         assert message.sender == 0
 
     def test_attestation_wrapper(self):
-        message = Message.attestation(self._attestation(), sender=1, sent_at=2.0)
-        assert message.kind is MessageKind.ATTESTATION
+        batch = self._attestation()
+        message = Message.attestation_batch(batch, sender=1, sent_at=2.0)
+        assert message.kind is MessageKind.ATTESTATION_BATCH
+        assert message.payload is batch
 
     def test_message_ids_unique(self):
         a = Message.block(BeaconBlock.genesis(), 0, 0.0)

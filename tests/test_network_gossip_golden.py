@@ -61,7 +61,7 @@ def sample_schedule(seconds_per_slot):
         block = Message.block(
             BeaconBlock.genesis(), sender=(slot * 211) % N, sent_at=slot * T
         )
-        vote = Message(MessageKind.ATTESTATION, None, (slot * 97) % N, slot * T + T / 3)
+        vote = Message(MessageKind.ATTESTATION_BATCH, None, (slot * 97) % N, slot * T + T / 3)
         for message in (block, vote):
             when, avail = model.delivery_times(message, recipients, message.sent_at)
             yield message, when, avail

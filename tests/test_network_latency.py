@@ -67,13 +67,9 @@ def block_message(sender: int = 0, sent_at: float = 0.0) -> Message:
     return Message.block(BeaconBlock.genesis(), sender=sender, sent_at=sent_at)
 
 
-def attestation_message(sender: int, sent_at: float = 4.0) -> Message:
+def batch_message(sender: int, sent_at: float = 4.0) -> Message:
     # The latency layer keys on the message *kind* and sender only, so a
     # payload-free wrapper is enough for sampling tests.
-    return Message(MessageKind.ATTESTATION, None, sender, sent_at)
-
-
-def batch_message(sender: int, sent_at: float = 4.0) -> Message:
     return Message(MessageKind.ATTESTATION_BATCH, None, sender, sent_at)
 
 
@@ -219,19 +215,19 @@ class TestSeedDeterminism:
         )
         assert whole.tobytes() == parts.tobytes()
 
-    def test_attestation_and_batch_share_the_sampling_class(self):
+    def test_vote_batch_delivery_times_ignore_the_sender(self):
         # A committee's votes travel as one batch under view sharding but
-        # as per-validator attestations per-node; both packagings (and any
-        # sender attribution) must sample identical delivery times.
+        # as one-row batches per-node, each from a different sender; the
+        # sender must not change the sampled delivery times.
         model = FixedJitter(seed=5).bind(flat_schedule(), INDICES, seconds_per_slot=T)
         recipients = np.arange(N)
-        single, _ = model.delivery_times(
-            attestation_message(sender=2, sent_at=4.0), recipients, available_at=4.0
+        first, _ = model.delivery_times(
+            batch_message(sender=2, sent_at=4.0), recipients, available_at=4.0
         )
-        batched, _ = model.delivery_times(
+        second, _ = model.delivery_times(
             batch_message(sender=9, sent_at=4.0), recipients, available_at=4.0
         )
-        assert single.tobytes() == batched.tobytes()
+        assert first.tobytes() == second.tobytes()
 
 
 class TestUniformDelay:
@@ -375,10 +371,10 @@ class TestGossipPropagation:
         model = GossipPropagation(seed=4).bind(flat_schedule(), INDICES)
         recipients = np.arange(N)
         first, _ = model.delivery_times(
-            attestation_message(sender=1, sent_at=4.0), recipients, available_at=4.0
+            batch_message(sender=1, sent_at=4.0), recipients, available_at=4.0
         )
         second, _ = model.delivery_times(
-            attestation_message(sender=30, sent_at=4.0), recipients, available_at=4.0
+            batch_message(sender=30, sent_at=4.0), recipients, available_at=4.0
         )
         assert first.tobytes() == second.tobytes()
 
@@ -553,7 +549,7 @@ def phase_messages(send_times, n: int):
     for i, sent_at in enumerate(send_times):
         sender = (i * 37) % n
         yield Message.block(BeaconBlock.genesis(), sender=sender, sent_at=sent_at)
-        yield attestation_message(sender=sender, sent_at=sent_at)
+        yield batch_message(sender=sender, sent_at=sent_at)
 
 
 #: Hop delays whose multiples land exactly on ``T/3`` or ``T``: 2*2.0 and

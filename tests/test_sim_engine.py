@@ -5,6 +5,7 @@ import pytest
 from repro.agents.honest import HonestAgent
 from repro.sim.engine import SimulationEngine
 from repro.sim.scenarios import (
+    build_behavior_mix_simulation,
     build_honest_simulation,
     build_offline_fraction_simulation,
     build_partitioned_simulation,
@@ -207,7 +208,135 @@ class TestEpochStartHook:
             assert ctx.node is engine.nodes[ctx.validator_index]
             assert ctx.duties is duties
             assert ctx.is_proposer == (duties.proposers[0] == ctx.validator_index)
-            assert ctx.is_attester == (
-                ctx.validator_index in duties.attestation_committees[0]
+            assert ctx.duties.committee_for_slot(ctx.slot, slots) == (
+                duties.attestation_committees[0]
             )
             assert ctx.partition_names == tuple(engine.schedule.partition_names())
+
+
+class TestRoutedVotePins:
+    """Digests of runs whose votes include lone, per-validator ones.
+
+    The stochastic behaviour profiles vote one validator at a time, the
+    bouncing attack's withheld votes are released across the healed
+    partition, and the double-voting partition's blocks carry single
+    rows.  Each pin is the blake2b digest of the run's snapshots and view
+    events plus its transport counters, recorded while lone votes still
+    travelled as per-validator attestation messages: repackaging them
+    must not move a single byte.
+    """
+
+    PINS = {
+        "behavior-mix": (
+            lambda: build_behavior_mix_simulation(
+                n_validators=64, lazy_fraction=0.25, intermittent_fraction=0.25
+            ),
+            4,
+            "eef9ad68890f744450bbaef011c85978",
+            dict(sent=136, delivered=136, withheld=0, delayed_across_partition=0,
+                 adversary_delayed=0, lazy_delayed=52, latency_delayed=0),
+        ),
+        "bouncing": (
+            lambda: build_partitioned_simulation(
+                n_validators=24,
+                p0=0.5,
+                byzantine_fraction=0.25,
+                byzantine_strategy="bouncing",
+                gst_epoch=1,
+            ),
+            5,
+            "404fa4eb2fcb972eaa88c6a027bc6922",
+            dict(sent=59, delivered=216, withheld=48, delayed_across_partition=9,
+                 adversary_delayed=0, lazy_delayed=0, latency_delayed=0),
+        ),
+        "double-voting": (
+            lambda: build_partitioned_simulation(
+                n_validators=64,
+                p0=0.5,
+                byzantine_fraction=0.33,
+                byzantine_strategy="double-voting",
+                config=SpecConfig.minimal(),
+            ),
+            25,
+            "c55c42011f767f8689f2e6d1a585b4d2",
+            dict(sent=524, delivered=1048, withheld=0, delayed_across_partition=274,
+                 adversary_delayed=0, lazy_delayed=0, latency_delayed=0),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(PINS))
+    def test_run_matches_pin(self, name):
+        import hashlib
+        from dataclasses import asdict
+
+        build, epochs, digest, stats = self.PINS[name]
+        result = build().run(epochs)
+        history = repr((result.snapshots, result.view_events)).encode()
+        assert hashlib.blake2b(history, digest_size=16).hexdigest() == digest
+        assert asdict(result.transport_stats) == stats
+
+
+class TestAttestationPublishOrder:
+    """Lone votes publish first, in committee order; clusters follow.
+
+    Agents without a committee key (the stochastic profiles) vote one
+    validator at a time; keyed agents vote once per (view group, key)
+    cluster.  Message ids grow in publication order and the transport
+    breaks delivery-time ties by message id, so this order reaches every
+    view and every pinned digest.
+    """
+
+    @staticmethod
+    def _mixed_engine(view_sharding):
+        from repro.agents.honest import IntermittentAgent, OfflineAgent
+        from repro.agents.profiles import IntermittentValidator, LazyValidator
+
+        config = SpecConfig.minimal()
+        registry = make_registry(40, config)
+        kinds = (
+            lambda i: HonestAgent(i),
+            lambda i: LazyValidator(i, miss_rate=0.0, max_delay=2.0, seed=3),
+            lambda i: IntermittentValidator(i, online_probability=1.0, seed=5),
+            lambda i: IntermittentAgent(i, period=1),
+            lambda i: OfflineAgent(i),
+        )
+        agents = {v.index: kinds[v.index % len(kinds)](v.index) for v in registry}
+        return SimulationEngine(
+            registry, agents, config=config, view_sharding=view_sharding
+        )
+
+    @pytest.mark.parametrize("view_sharding", [True, False])
+    def test_lone_votes_then_clusters_in_first_appearance_order(self, view_sharding):
+        from repro.network.message import MessageKind
+
+        engine = self._mixed_engine(view_sharding)
+        published = {}
+        broadcast = engine.network.broadcast
+
+        def recording(message, *args, **kwargs):
+            if message.kind is not MessageKind.BLOCK:
+                published.setdefault(engine._current_slot, []).append(message)
+            return broadcast(message, *args, **kwargs)
+
+        engine.network.broadcast = recording
+        engine.run(2)
+
+        config = engine.config
+        assert len(published) == 2 * config.slots_per_epoch
+        for slot, messages in published.items():
+            duties = engine.scheduler.duties_for_epoch(
+                config.epoch_of_slot(slot), engine.registry
+            )
+            committee = duties.committee_for_slot(slot, config.slots_per_epoch)
+            solo = [(i,) for i in committee if engine.agents[i].committee_key() is None]
+            clusters = {}
+            for i in committee:
+                key = engine.agents[i].committee_key()
+                if key is not None and key != "offline":
+                    clusters.setdefault((engine.group_of[i], key), []).append(i)
+            assert solo and clusters
+            expected = solo + [tuple(members) for members in clusters.values()]
+            assert [tuple(m.payload.validators.tolist()) for m in messages] == expected
+            ids = [m.message_id for m in messages]
+            assert ids == sorted(ids)
+            assert max(ids[: len(solo)]) < min(ids[len(solo) :])

@@ -4,6 +4,7 @@ import pytest
 
 from repro.network.message import Message
 from repro.sim.node import Node
+from repro.spec.attestation import attestations_from_batch
 from repro.spec.block import BeaconBlock
 from repro.spec.config import SpecConfig
 from repro.spec.types import GENESIS_ROOT
@@ -22,6 +23,12 @@ def node(config):
 
 def block_at(slot: int, parent=GENESIS_ROOT, proposer: int = 1, tag: str = "") -> BeaconBlock:
     return BeaconBlock.create(slot=slot, proposer_index=proposer, parent_root=parent, branch_tag=tag)
+
+
+def vote(node: Node, slot: int, validator: int, head=None) -> Message:
+    """``validator``'s vote from ``node``'s view, as a one-row batch message."""
+    batch = node.attestation_batch_for(slot=slot, validators=[validator], head=head)
+    return Message.attestation_batch(batch, sender=validator, sent_at=float(slot))
 
 
 class TestMessageIngestion:
@@ -43,17 +50,16 @@ class TestMessageIngestion:
     def test_receive_attestation_updates_store_and_pool(self, node):
         block = block_at(1)
         node.receive(Message.block(block, sender=1, sent_at=0.0))
-        attestation = node.attestation_for(slot=1, head=block.root)
-        node.receive(Message.attestation(attestation, sender=0, sent_at=1.0))
+        message = vote(node, slot=1, validator=0, head=block.root)
+        node.receive(message)
         assert node.store.latest_messages[0].root == block.root
-        assert node.attestations_by_epoch[attestation.target_epoch]
+        assert node.attestations_by_epoch[message.payload.target_epoch]
 
     def test_attestation_for_unknown_block_queued(self, node):
         block = block_at(1)
         other = Node(validator_index=1, registry=make_registry(8, SpecConfig.minimal()), config=node.config)
         other.receive(Message.block(block, sender=1, sent_at=0.0))
-        attestation = other.attestation_for(slot=1, head=block.root)
-        node.receive(Message.attestation(attestation, sender=1, sent_at=1.0))
+        node.receive(vote(other, slot=1, validator=1, head=block.root))
         assert node.pending.attestations
         node.receive(Message.block(block, sender=1, sent_at=2.0))
         assert not node.pending.attestations
@@ -62,7 +68,7 @@ class TestMessageIngestion:
     def test_block_attestations_count_as_seen(self, node):
         parent = block_at(1)
         node.receive(Message.block(parent, sender=1, sent_at=0.0))
-        attestation = node.attestation_for(slot=1, head=parent.root)
+        (attestation,) = attestations_from_batch(vote(node, 1, 0, head=parent.root).payload)
         child = BeaconBlock.create(
             slot=2, proposer_index=2, parent_root=parent.root, attestations=(attestation,)
         )
@@ -96,7 +102,9 @@ class TestChainViews:
     def test_attestation_for_uses_own_head_and_checkpoints(self, node):
         block = block_at(1)
         node.receive(Message.block(block, sender=1, sent_at=0.0))
-        attestation = node.attestation_for(slot=1)
+        (attestation,) = attestations_from_batch(
+            node.attestation_batch_for(slot=1, validators=[0])
+        )
         assert attestation.validator_index == 0
         assert attestation.head_root == block.root
         assert attestation.source == node.state.current_justified_checkpoint
@@ -104,8 +112,9 @@ class TestChainViews:
     def test_build_block_includes_known_attestations_and_evidence(self, node):
         block = block_at(1)
         node.receive(Message.block(block, sender=1, sent_at=0.0))
-        attestation = node.attestation_for(slot=1, head=block.root)
-        node.receive(Message.attestation(attestation, sender=3, sent_at=1.0))
+        message = vote(node, slot=1, validator=3, head=block.root)
+        node.receive(message)
+        (attestation,) = attestations_from_batch(message.payload)
         built = node.build_block(slot=2)
         assert attestation in built.attestations
         assert built.parent_root == block.root
@@ -138,8 +147,7 @@ class TestPendingDrainOrdering:
         )
         other.receive(Message.block(first, sender=1, sent_at=0.0))
         other.receive(Message.block(second, sender=1, sent_at=0.0))
-        attestation = other.attestation_for(slot=2, head=second.root)
-        node.receive(Message.attestation(attestation, sender=1, sent_at=0.0))
+        node.receive(vote(other, slot=2, validator=1, head=second.root))
         node.receive(Message.block(second, sender=1, sent_at=0.0))
         assert node.pending.attestations and node.pending.blocks
         node.receive(Message.block(first, sender=1, sent_at=0.0))
@@ -173,7 +181,9 @@ class TestPendingDrainOrdering:
         )
         voter.receive(Message.block(known, sender=1, sent_at=0.0))
         voter.receive(Message.block(foreign, sender=3, sent_at=0.0))
-        attestation = voter.attestation_for(slot=2, head=foreign.root)
+        (attestation,) = attestations_from_batch(
+            voter.attestation_batch_for(slot=2, validators=[5], head=foreign.root)
+        )
         carrier = BeaconBlock.create(
             slot=3,
             proposer_index=2,
@@ -185,7 +195,8 @@ class TestPendingDrainOrdering:
         node.receive(Message.block(known, sender=1, sent_at=0.0))  # drains carrier
         assert node.pending.blocks == []
         # The carried attestation's head is still unknown: it pends.
-        assert node.pending.attestations == [attestation]
+        (pending,) = node.pending.attestations
+        assert attestations_from_batch(pending) == [attestation]
         assert 5 not in node.store.latest_messages
         node.receive(Message.block(foreign, sender=3, sent_at=1.0))
         assert node.pending.attestations == []
@@ -215,8 +226,7 @@ class TestEpochProcessing:
     def test_active_indices_require_correct_target(self, node, config):
         block = block_at(1)
         node.receive(Message.block(block, sender=1, sent_at=0.0))
-        good = node.attestation_for(slot=1, head=block.root)
-        node.receive(Message.attestation(good, sender=0, sent_at=1.0))
+        node.receive(vote(node, slot=1, validator=0, head=block.root))
         active = node.active_indices_for_epoch(0)
         assert 0 in active
 
@@ -225,14 +235,7 @@ class TestEpochProcessing:
         block = block_at(1)
         node.receive(Message.block(block, sender=1, sent_at=0.0))
         for validator in range(8):
-            attestation = node.attestation_for(slot=1, head=block.root)
-            attestation = type(attestation)(
-                validator_index=validator,
-                slot=attestation.slot,
-                head_root=attestation.head_root,
-                ffg=attestation.ffg,
-            )
-            node.receive(Message.attestation(attestation, sender=validator, sent_at=1.0))
+            node.receive(vote(node, slot=1, validator=validator, head=block.root))
         report = node.process_epoch_end(0)
         assert report.epoch == 0
         assert node.history.reports

@@ -1,10 +1,14 @@
 """Batch-native ingest equals row-by-row ingest.
 
-A view node regroups the attestations a block carries into committee
-batches (consecutive rows of one vote) and keeps batches unexpanded in its
-inclusion log.  The oracle here is a node that ingests every carried row
-on its own through ``_receive_attestation`` — the path every row took
-before — fed the same random blocks, gossip batches, equivocations,
+A view node ingests every vote as an attestation batch: gossip arrives
+as batches, the attestations a block carries are regrouped into batches
+(consecutive rows of one vote), a batch with an unknown head pends whole,
+and the inclusion log keeps batches unexpanded.  The oracle here is a
+node that expands every batch and takes each row on its own through the
+spec-level row APIs (``Store.on_attestation``,
+``FFGVotePool.add_attestation``, ``SlashingDetector.observe``,
+``AttestationColumns.append``), with its own row pending queue, fed the
+same random blocks, gossip batches, lone votes, equivocations,
 out-of-order deliveries, ``split_clone`` calls, proposals and epoch
 processing.  After every step the two must agree on every structure the
 ingest touches.  The inclusion log is also checked on its own against a
@@ -21,7 +25,7 @@ import pytest
 
 from repro.core.attestation_batch import AttestationBatch
 from repro.core.ffg import FlatVotePool
-from repro.network.message import Message
+from repro.network.message import Message, MessageKind
 from repro.sim.node import InclusionLog, Node
 from repro.spec.attestation import Attestation, attestations_from_batch
 from repro.spec.block import BeaconBlock
@@ -34,12 +38,74 @@ N_VALIDATORS = 12
 MEMBERS = (0, 1, 2, 3)
 
 
+def _one_row(attestation: Attestation) -> AttestationBatch:
+    return AttestationBatch(
+        slot=attestation.slot,
+        head_root=attestation.head_root,
+        source=attestation.source,
+        target=attestation.target,
+        validators=np.asarray([attestation.validator_index]),
+    )
+
+
 class RowByRowNode(Node):
-    """The oracle: every carried attestation is received on its own."""
+    """The oracle: every attestation is received, pended and ingested alone.
+
+    Its pending queue holds rows, and its inclusion log one-row batches
+    expanded to the very rows it ingested.
+    """
+
+    def receive(self, message):
+        if message.kind is MessageKind.ATTESTATION_BATCH:
+            self._receive_carried(attestations_from_batch(message.payload))
+        else:
+            super().receive(message)
 
     def _receive_carried(self, attestations):
         for attestation in attestations:
-            self._receive_attestation(attestation)
+            self.attestations_received += 1
+            if attestation.head_root in self.store.tree:
+                self._ingest_row(attestation)
+            else:
+                self.pending.attestations.append(attestation)
+
+    def _ingest_row(self, attestation: Attestation) -> None:
+        self.store.on_attestation(attestation)
+        self.pool.add_attestation(attestation)
+        flat = self.pool.flat
+        self._seen_columns(attestation.target_epoch).append(
+            attestation.validator_index,
+            attestation.source.epoch,
+            flat.intern_root(attestation.source.root),
+            flat.intern_root(attestation.target.root),
+        )
+        self._inclusion_log.append(_one_row(attestation), (attestation,))
+        evidence = self.detector.observe(attestation)
+        if evidence is not None:
+            self._evidence_log.append(evidence)
+
+    def _drain_pending(self):
+        progress = True
+        while progress:
+            progress = False
+            blocks, self.pending.blocks = self.pending.blocks, []
+            for block in blocks:
+                if block.parent_root not in self.store.tree:
+                    self.pending.blocks.append(block)
+                    continue
+                if self.store.on_block(block):
+                    self._receive_carried(block.attestations)
+                    for index in block.slashing_evidence:
+                        epoch = self.config.epoch_of_slot(block.slot)
+                        self.slashings_observed[epoch].add(index)
+                progress = True
+            rows, self.pending.attestations = self.pending.attestations, []
+            for row in rows:
+                if row.head_root in self.store.tree:
+                    self._ingest_row(row)
+                    progress = True
+                else:
+                    self.pending.attestations.append(row)
 
     def split_clone(self, members, validator_index):
         clone = super().split_clone(members, validator_index)
@@ -180,7 +246,8 @@ def test_grouped_carried_ingest_matches_row_by_row(seed):
             stream.expansions.append(attestations_from_batch(batch))
             messages.append(Message.attestation_batch(batch, sender=0, sent_at=0.0))
         elif roll < 0.7:
-            messages.append(Message.attestation(stream.single(slot), sender=0, sent_at=0.0))
+            lone = _one_row(stream.single(slot))
+            messages.append(Message.attestation_batch(lone, sender=0, sent_at=0.0))
         elif roll < 0.8 and held:
             messages.append(Message.block(held.pop(0), sender=0, sent_at=0.0))
         elif roll < 0.9:
@@ -241,14 +308,16 @@ def test_weighted_pool_is_refused():
 
 def test_batch_refuses_a_negative_validator_like_a_row():
     """Batch ingest indexes per-validator arrays directly, so a negative
-    index must be refused up front, as :class:`Attestation` refuses it."""
-    with pytest.raises(ValueError, match="non-negative"):
-        AttestationBatch(
-            slot=1, head_root=GENESIS_ROOT,
-            source=Checkpoint(epoch=0, root=GENESIS_ROOT),
-            target=Checkpoint(epoch=0, root=GENESIS_ROOT),
-            validators=np.asarray([3, -1]),
-        )
+    index must be refused up front, as :class:`Attestation` refuses it;
+    a lone vote's one row is checked too."""
+    for validators in ([3, -1], [-1]):
+        with pytest.raises(ValueError, match="non-negative"):
+            AttestationBatch(
+                slot=1, head_root=GENESIS_ROOT,
+                source=Checkpoint(epoch=0, root=GENESIS_ROOT),
+                target=Checkpoint(epoch=0, root=GENESIS_ROOT),
+                validators=np.asarray(validators),
+            )
 
 
 # ----------------------------------------------------------------------
@@ -257,14 +326,11 @@ def test_batch_refuses_a_negative_validator_like_a_row():
 def _entry(rng: random.Random, epoch: int):
     target = Checkpoint(epoch=epoch, root=GENESIS_ROOT)
     source = Checkpoint(epoch=max(epoch - 1, 0), root=GENESIS_ROOT)
-    if rng.random() < 0.3:
-        return Attestation(
-            validator_index=rng.randrange(50), slot=epoch * 8,
-            head_root=GENESIS_ROOT, ffg=FFGVote(source=source, target=target),
-        )
+    # Three in ten are lone votes.
+    size = 1 if rng.random() < 0.3 else rng.randint(1, 7)
     return AttestationBatch(
         slot=epoch * 8, head_root=GENESIS_ROOT, source=source, target=target,
-        validators=np.asarray([rng.randrange(50) for _ in range(rng.randint(1, 7))]),
+        validators=np.asarray([rng.randrange(50) for _ in range(size)]),
     )
 
 

@@ -527,8 +527,8 @@ class TestViewGroupStructure:
         block = BeaconBlock.create(slot=1, proposer_index=4, parent_root=GENESIS_ROOT)
         view.receive(Message.block(block, sender=4, sent_at=0.0))
         for validator in (4, 5, 6):
-            attestation = view.attestation_for(slot=1, validator_index=validator)
-            view.receive(Message.attestation(attestation, sender=validator, sent_at=1.0))
+            batch = view.attestation_batch_for(slot=1, validators=[validator])
+            view.receive(Message.attestation_batch(batch, sender=validator, sent_at=1.0))
         first = view.build_block(slot=2, proposer=0)
         second = view.build_block(slot=2, proposer=1)
         assert len(first.attestations) == 3

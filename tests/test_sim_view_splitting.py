@@ -45,10 +45,8 @@ def _offline_engine(n: int = 8) -> SimulationEngine:
 
 def _attestation_message(engine: SimulationEngine, group: str = "global"):
     view = engine.views[group]
-    attestation = view.attestation_for(slot=1, validator_index=view.members[0])
-    return Message.attestation(
-        attestation, sender=view.members[0], sent_at=0.0
-    )
+    batch = view.attestation_batch_for(slot=1, validators=[view.members[0]])
+    return Message.attestation_batch(batch, sender=view.members[0], sent_at=0.0)
 
 
 def _pending(engine: SimulationEngine, endpoint: int):
@@ -199,8 +197,8 @@ class TestAdversaryCacheInvalidation:
         before = adversary._audience_endpoints("branch-1", False)
         members = engine.view_groups["branch-1"]
         view = engine.views["branch-1"]
-        message = Message.attestation(
-            view.attestation_for(slot=1, validator_index=members[0]),
+        message = Message.attestation_batch(
+            view.attestation_batch_for(slot=1, validators=[members[0]]),
             sender=members[0],
             sent_at=0.0,
         )
@@ -286,9 +284,9 @@ class TestInclusionHorizon:
         )
         # Two attestations targeting epoch 0, two targeting epoch 2.
         for validator, slot in ((4, 1), (5, 2), (6, 9), (7, 10)):
-            attestation = view.attestation_for(slot=slot, validator_index=validator)
+            batch = view.attestation_batch_for(slot=slot, validators=[validator])
             view.receive(
-                Message.attestation(attestation, sender=validator, sent_at=float(slot))
+                Message.attestation_batch(batch, sender=validator, sent_at=float(slot))
             )
         # Member 0 consumes the whole log; member 1 consumes nothing.
         assert len(view.build_block(slot=11, proposer=0).attestations) == 4
