@@ -26,6 +26,11 @@ A stage benchmark times ``GossipPropagation.delivery_times`` for a bound
 from hop-count bounds against sampling every recipient (the oracle), with
 identical arrays asserted and the speedup gated.
 
+Two more stage benchmarks time the spec layer at 10k validators against
+in-file oracles of the code they replaced: ``Store.get_head_weighted`` on
+a 128-block forked tree (equal head and subtree weights, gated at >=3x)
+and ``DutyScheduler.duties_for_epoch`` (equal duties, gated at >=1.3x).
+
 A long-horizon record runs the 64-validator double-voting partition for
 25 and for 200 epochs and stores each run's ms/epoch — how an epoch's
 cost grows with the horizon — next to pinned digests of its results.
@@ -61,7 +66,10 @@ from repro.sim.scenarios import (
     build_preset,
 )
 from repro.spec.block import BeaconBlock
+from repro.spec.committees import DutyScheduler, EpochDuties, _seed_int
 from repro.spec.config import SpecConfig
+from repro.spec.forkchoice import Store
+from repro.spec.validator import make_registry
 
 SMALL = 512
 LARGE = 10_000
@@ -379,6 +387,191 @@ def test_gossip_delivery_times_stage(bench_record):
     )
     assert settled_fraction > 0.5
     assert speedup >= MIN_SETTLED_SPEEDUP
+
+
+#: Fork-choice stage: the position-indexed head against the dictionary
+#: oracle below (measured ~4-6x on a 2-core x86_64 VM).
+MIN_HEAD_SPEEDUP = 3.0
+FORK_CHOICE_BLOCKS = 128
+
+
+def _oracle_head(store, eligible_stakes):
+    """The dictionary fork choice the position-indexed one replaced.
+
+    Vote weights as a ``Root -> float`` dict (voted roots from
+    ``np.unique``), subtree weights from one pass over the blocks sorted
+    by descending slot, and a GHOST walk over ``children_of`` lists.
+    """
+    limit = min(store._latest_epoch.shape[0], eligible_stakes.shape[0])
+    valid = store._latest_epoch[:limit] >= 0
+    roots = store._latest_root[:limit][valid]
+    totals = np.bincount(
+        roots, weights=eligible_stakes[:limit][valid], minlength=len(store._interner)
+    )
+    weights = {
+        store._interner.root_of(int(root_id)): float(totals[int(root_id)])
+        for root_id in np.unique(roots)
+    }
+    subtree = {}
+    for block in sorted(store.tree.blocks(), key=lambda b: b.slot, reverse=True):
+        total = weights.get(block.root, 0.0)
+        for child in store.tree.children_of(block.root):
+            total += subtree[child]
+        subtree[block.root] = total
+    head = store.justified_checkpoint.root
+    while True:
+        children = store.tree.children_of(head)
+        if not children:
+            return head, subtree
+        head = max(children, key=lambda child: (subtree[child], child.hex))
+
+
+def _forked_store(n_validators, n_blocks, seed=1):
+    """A store with a forked ``n_blocks`` tree and every validator's vote.
+
+    Each block extends one of the last four, so branches fork and die off
+    as in an attacked view; each validator votes for one of the newest 16
+    blocks.  Stakes are fractional, as after penalties.
+    """
+    rng = np.random.default_rng(seed)
+    store = Store(config=SpecConfig.minimal())
+    roots = [store.tree.genesis_root]
+    for slot in range(1, n_blocks):
+        parent = roots[max(0, len(roots) - 1 - int(rng.integers(4)))]
+        block = BeaconBlock.create(
+            slot=slot, proposer_index=slot, parent_root=parent, branch_tag=str(slot)
+        )
+        store.on_block(block)
+        roots.append(block.root)
+    choice = rng.integers(len(roots) - 16, len(roots), size=n_validators)
+    for offset in np.unique(choice):
+        store.on_attestation_batch(np.flatnonzero(choice == offset), 0, roots[offset])
+    stakes = 32.0 - rng.random(n_validators) * 4.0
+    return store, stakes
+
+
+def _best_us(calls, repeats=9, number=20):
+    """Best time per call of each of ``calls``, in microseconds.
+
+    The calls take turns within every repeat, so a change in machine load
+    during the measurement reaches all of them alike.
+    """
+    best = [float("inf")] * len(calls)
+    for _ in range(repeats):
+        for slot, call in enumerate(calls):
+            start = time.perf_counter()
+            for _ in range(number):
+                call()
+            best[slot] = min(best[slot], (time.perf_counter() - start) / number)
+    return [1e6 * seconds for seconds in best]
+
+
+def test_fork_choice_head_stage(bench_record):
+    """``Store.get_head_weighted`` at 10k validators on a 128-block tree.
+
+    The position-indexed tally, subtree pass and walk against the
+    dictionary oracle: the head and every block's subtree weight must be
+    equal (bit for bit), and the head must be at least
+    ``MIN_HEAD_SPEEDUP`` times faster.
+    """
+    store, stakes = _forked_store(LARGE, FORK_CHOICE_BLOCKS)
+    head = store.get_head_weighted(stakes)
+    expected_head, subtree = _oracle_head(store, stakes)
+    assert head == expected_head
+    totals = store.subtree_totals(stakes)
+    assert dict(zip(store.tree.roots, totals)) == subtree
+    assert len(store.tree.leaves()) > 1
+    head_us, oracle_us = _best_us(
+        [lambda: store.get_head_weighted(stakes), lambda: _oracle_head(store, stakes)]
+    )
+    speedup = oracle_us / head_us
+    bench_record(
+        RESULTS_PATH,
+        {
+            "fork_choice_head_10k": {
+                "n_validators": LARGE,
+                "blocks": FORK_CHOICE_BLOCKS,
+                "leaves": len(store.tree.leaves()),
+                "head_us": head_us,
+                "oracle_us": oracle_us,
+                "speedup": speedup,
+            },
+        },
+    )
+    print(
+        f"\nget_head_weighted @10k, {FORK_CHOICE_BLOCKS} blocks: {head_us:.0f} us, "
+        f"dictionary oracle {oracle_us:.0f} us ({speedup:.1f}x)"
+    )
+    assert speedup >= MIN_HEAD_SPEEDUP
+
+
+#: Duty stage: the digest-buffer shuffle against the sort-by-hash oracle
+#: (measured ~1.4-1.6x on a 2-core x86_64 VM; both build the same active list).
+MIN_DUTIES_SPEEDUP = 1.3
+
+
+def _oracle_duties(scheduler, epoch, validators):
+    """``duties_for_epoch`` as it was: ``sorted`` by a per-item sha256 key."""
+
+    def key(item):
+        digest = hashlib.sha256(f"{shuffle_seed}|{item}".encode("utf-8")).digest()
+        return int.from_bytes(digest[:8], "big")
+
+    active = [v.index for v in validators if v.is_active(epoch) and v.stake > 0]
+    slots = scheduler.config.slots_per_epoch
+    shuffle_seed = _seed_int(scheduler.seed, epoch, "shuffle")
+    shuffled = sorted(active, key=key)
+    proposer_seed = _seed_int(scheduler.seed, epoch, "proposer")
+    proposers = [
+        shuffled[_seed_int(str(proposer_seed), offset, "slot") % len(shuffled)]
+        for offset in range(slots)
+    ]
+    committees = [[] for _ in range(slots)]
+    for position, validator_index in enumerate(shuffled):
+        committees[position % slots].append(validator_index)
+    return EpochDuties(
+        epoch=epoch,
+        proposers=tuple(proposers),
+        attestation_committees=tuple(tuple(c) for c in committees),
+    )
+
+
+def test_duties_for_epoch_stage(bench_record):
+    """``DutyScheduler.duties_for_epoch`` at 10k validators, uncached.
+
+    Equal duties to the sort-by-hash oracle, at least
+    ``MIN_DUTIES_SPEEDUP`` times faster.
+    """
+    config = SpecConfig.minimal()
+    registry = make_registry(LARGE, config, byzantine_fraction=0.2)
+    scheduler = DutyScheduler(config=config, seed="1/balancing-0")
+    assert scheduler.duties_for_epoch(0, registry) == _oracle_duties(scheduler, 0, registry)
+
+    def fresh():
+        scheduler.clear_cache()
+        scheduler.duties_for_epoch(0, registry)
+
+    duties_us, oracle_us = _best_us(
+        [fresh, lambda: _oracle_duties(scheduler, 0, registry)], number=3
+    )
+    duties_ms, oracle_ms = duties_us / 1e3, oracle_us / 1e3
+    speedup = oracle_ms / duties_ms
+    bench_record(
+        RESULTS_PATH,
+        {
+            "duties_for_epoch_10k": {
+                "n_validators": LARGE,
+                "duties_ms": duties_ms,
+                "oracle_ms": oracle_ms,
+                "speedup": speedup,
+            },
+        },
+    )
+    print(
+        f"\nduties_for_epoch @10k: {duties_ms:.1f} ms, sort-by-hash oracle "
+        f"{oracle_ms:.1f} ms ({speedup:.2f}x)"
+    )
+    assert speedup >= MIN_DUTIES_SPEEDUP
 
 
 def _double_voting_partition():

@@ -47,7 +47,6 @@ from repro.core.backend import StakeBackend, get_backend
 from repro.network.message import Message, MessageKind
 from repro.spec.attestation import Attestation, attestations_from_batch
 from repro.spec.block import BeaconBlock
-from repro.spec.blocktree import UnknownBlockError
 from repro.spec.checkpoint import Checkpoint
 from repro.spec.config import SpecConfig
 from repro.spec.finality import FFGVotePool
@@ -237,7 +236,6 @@ class Node:
         self._justified_stakes = self.state.validators.stake.copy()
         self._weights_version = 0
         self._head_cache: Optional[Tuple[Tuple[int, int], Root]] = None
-        self._subtree_cache: Optional[Tuple[Tuple[int, int], Dict[Root, float]]] = None
         #: Permanent (epoch, head) -> checkpoint cache: a fixed head's
         #: boundary ancestor never changes once the head is in the tree.
         self._checkpoint_cache: Dict[Tuple[int, Root], Checkpoint] = {}
@@ -341,9 +339,6 @@ class Node:
         clone._justified_stakes = self._justified_stakes.copy()
         clone._weights_version = self._weights_version
         clone._head_cache = self._head_cache
-        # The subtree map is a mutable dict; the two sides must never share
-        # one, as both continue from the same store version.
-        clone._subtree_cache = None
         clone._checkpoint_cache = dict(self._checkpoint_cache)
         clone._fc_stakes = self._fc_stakes.copy()
         return clone
@@ -563,31 +558,25 @@ class Node:
         key = (self.store.version, self._weights_version)
         if self._head_cache is not None and self._head_cache[0] == key:
             return self._head_cache[1]
-        head = self.store.get_head_weighted(self._fc_stakes)
+        head = self.store.get_head_weighted(self._fc_stakes, self._weights_version)
         self._head_cache = (key, head)
         return head
 
     def branch_heads(self) -> List[Root]:
         """All leaf roots of the local tree (competing branch heads)."""
-        return list(self.store.tree.leaves())
+        return self.store.tree.leaves()
 
     def branch_weight(self, root: Root) -> float:
         """Attesting stake on the subtree rooted at ``root``.
 
         Uses the same justified-balance weights as :meth:`head`, so a
         swayer comparing two branches sees exactly what LMD-GHOST sees.
-        Every subtree total is computed in one pass and cached under the
-        same (store, weight) version key as the head, so repeated queries
-        between deliveries are dictionary lookups.
+        The store caches the subtree totals under the same (store, weight)
+        version key as the head, so a head query and any number of weight
+        queries between mutations tally once.
         """
-        key = (self.store.version, self._weights_version)
-        if self._subtree_cache is None or self._subtree_cache[0] != key:
-            weights = self.store._vote_weights_from_stakes(self._fc_stakes)
-            self._subtree_cache = (key, self.store.subtree_weights(weights))
-        subtree = self._subtree_cache[1]
-        if root not in subtree:
-            raise UnknownBlockError(f"unknown block root {root}")
-        return subtree[root]
+        position = self.store.tree.position_of(root)
+        return self.store.subtree_totals(self._fc_stakes, self._weights_version)[position]
 
     def checkpoint_of_epoch(self, epoch: int, head: Optional[Root] = None) -> Checkpoint:
         """Checkpoint of ``epoch`` on the chain of ``head`` (default: own head)."""

@@ -5,12 +5,18 @@ blocks (Section 2 of the paper).  The fork-choice rule
 (:mod:`repro.spec.forkchoice`) selects the candidate chain out of this
 tree; the finality gadget (:mod:`repro.spec.finality`) marks a prefix of it
 as finalized.
+
+The layout is proto-array's: every block has a *position*, its index in
+insertion order, and the tree keeps the roots by position, a root →
+position map and each position's child positions.  A parent is always
+inserted before its children, so one pass over positions from last to
+first visits every child before its parent; fork choice sums subtree
+weights that way without sorting or hashing a root per block.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Dict, Iterator, List, Optional, Sequence, Set
 
 from repro.spec.block import BeaconBlock
 from repro.spec.types import Root, GENESIS_ROOT
@@ -27,8 +33,14 @@ class BlockTree:
         genesis_block = genesis or BeaconBlock.genesis()
         if not genesis_block.is_genesis():
             raise ValueError("BlockTree must be rooted at a genesis block")
-        self._blocks: Dict[Root, BeaconBlock] = {genesis_block.root: genesis_block}
-        self._children: Dict[Root, List[Root]] = defaultdict(list)
+        #: Blocks and their roots in insertion order (index = position).
+        self._blocks: List[BeaconBlock] = [genesis_block]
+        self._roots: List[Root] = [genesis_block.root]
+        self._position: Dict[Root, int] = {genesis_block.root: 0}
+        #: Child positions of each position, in insertion order.
+        self._children: List[List[int]] = [[]]
+        #: Roots without children, in insertion order (an ordered set).
+        self._leaves: Dict[Root, None] = {genesis_block.root: None}
         self._genesis_root = genesis_block.root
 
     # ------------------------------------------------------------------
@@ -43,28 +55,45 @@ class BlockTree:
         return len(self._blocks)
 
     def __contains__(self, root: Root) -> bool:
-        return root in self._blocks
+        return root in self._position
 
     def get(self, root: Root) -> BeaconBlock:
         """Return the block with the given root, raising if unknown."""
         try:
-            return self._blocks[root]
+            return self._blocks[self._position[root]]
         except KeyError as exc:
             raise UnknownBlockError(f"unknown block root {root}") from exc
 
     def blocks(self) -> Iterator[BeaconBlock]:
-        """Iterate over every block in the tree (no particular order)."""
-        return iter(self._blocks.values())
+        """Iterate over every block in the tree, in insertion order."""
+        return iter(self._blocks)
+
+    def position_of(self, root: Root) -> int:
+        """Insertion index of ``root``, raising if unknown."""
+        try:
+            return self._position[root]
+        except KeyError as exc:
+            raise UnknownBlockError(f"unknown block root {root}") from exc
+
+    @property
+    def roots(self) -> Sequence[Root]:
+        """Every root by position (treat as read-only)."""
+        return self._roots
+
+    @property
+    def child_positions(self) -> Sequence[List[int]]:
+        """Each position's child positions, in insertion order (read-only)."""
+        return self._children
 
     def children_of(self, root: Root) -> List[Root]:
         """Return the roots of the direct children of ``root``."""
-        if root not in self._blocks:
-            raise UnknownBlockError(f"unknown block root {root}")
-        return list(self._children.get(root, []))
+        roots = self._roots
+        return [roots[child] for child in self._children[self.position_of(root)]]
 
     def leaves(self) -> List[Root]:
-        """Return the roots of all leaf blocks (blocks without children)."""
-        return [root for root in self._blocks if not self._children.get(root)]
+        """Return the roots of all leaf blocks (blocks without children),
+        in insertion order."""
+        return list(self._leaves)
 
     # ------------------------------------------------------------------
     # Mutation
@@ -77,33 +106,41 @@ class BlockTree:
         client behaviour of holding blocks until their ancestry is complete
         (the network layer takes care of ordering in the simulator).
         """
-        if block.root in self._blocks:
+        if block.root in self._position:
             return False
-        if block.parent_root not in self._blocks:
+        if block.parent_root not in self._position:
             raise UnknownBlockError(
                 f"parent {block.parent_root} of block {block.root} is unknown"
             )
-        parent = self._blocks[block.parent_root]
+        parent_position = self._position[block.parent_root]
+        parent = self._blocks[parent_position]
         if block.slot <= parent.slot and not block.is_genesis():
             raise ValueError(
                 f"block slot {block.slot} must exceed parent slot {parent.slot}"
             )
-        self._blocks[block.root] = block
-        self._children[block.parent_root].append(block.root)
+        position = len(self._roots)
+        self._blocks.append(block)
+        self._roots.append(block.root)
+        self._position[block.root] = position
+        self._children[parent_position].append(position)
+        self._children.append([])
+        self._leaves.pop(block.parent_root, None)
+        self._leaves[block.root] = None
         return True
 
     def clone(self) -> "BlockTree":
         """An independent tree holding the same blocks.
 
-        Blocks are immutable, so the copy is structural only (dict and
-        child-list duplication); used when a view group splits.
+        Blocks are immutable, so the copy is structural only (list, map
+        and child-list duplication, same positions); used when a view
+        group splits.
         """
         copy = BlockTree.__new__(BlockTree)
-        copy._blocks = dict(self._blocks)
-        copy._children = defaultdict(list)
-        for root, children in self._children.items():
-            if children:
-                copy._children[root] = list(children)
+        copy._blocks = list(self._blocks)
+        copy._roots = list(self._roots)
+        copy._position = dict(self._position)
+        copy._children = [list(children) for children in self._children]
+        copy._leaves = dict(self._leaves)
         copy._genesis_root = self._genesis_root
         return copy
 
@@ -124,7 +161,7 @@ class BlockTree:
 
     def is_ancestor(self, ancestor: Root, descendant: Root) -> bool:
         """Return True if ``ancestor`` lies on the chain from genesis to ``descendant``."""
-        if ancestor not in self._blocks:
+        if ancestor not in self._position:
             raise UnknownBlockError(f"unknown block root {ancestor}")
         current = self.get(descendant)
         while True:
@@ -147,15 +184,35 @@ class BlockTree:
 
     def descendants(self, root: Root) -> Set[Root]:
         """Return the set of all descendants of ``root`` (excluding itself)."""
-        result: Set[Root] = set()
-        stack = list(self._children.get(root, []))
+        position = self._position.get(root)
+        if position is None:
+            return set()
+        found: List[int] = []
+        stack = list(self._children[position])
         while stack:
             node = stack.pop()
-            if node in result:
-                continue
-            result.add(node)
-            stack.extend(self._children.get(node, []))
-        return result
+            found.append(node)
+            stack.extend(self._children[node])
+        return {self._roots[node] for node in found}
+
+    def subtree_totals(self, own: Sequence[float]) -> List[float]:
+        """Subtree weight of every position, given each block's own weight.
+
+        One pass from the last position to the first: each total adds the
+        block's own weight, then its children's totals in ``children_of``
+        order, the order of the recursive definition, so the floats equal
+        it bit for bit.
+        """
+        totals = list(own)
+        children = self._children
+        for position in range(len(totals) - 1, -1, -1):
+            kids = children[position]
+            if kids:
+                total = totals[position]
+                for child in kids:
+                    total += totals[child]
+                totals[position] = total
+        return totals
 
     def common_ancestor(self, root_a: Root, root_b: Root) -> Root:
         """Return the deepest common ancestor of two blocks."""
@@ -170,4 +227,4 @@ class BlockTree:
 
     def highest_slot(self) -> int:
         """Return the highest slot of any block in the tree."""
-        return max(block.slot for block in self._blocks.values())
+        return max(block.slot for block in self._blocks)

@@ -13,6 +13,8 @@ import hashlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from repro.spec.config import SpecConfig
 from repro.spec.validator import Validator
 
@@ -26,15 +28,22 @@ def _seed_int(seed: str, epoch: int, domain: str) -> int:
 def _deterministic_shuffle(items: List[int], seed_value: int) -> List[int]:
     """Deterministically shuffle ``items`` using a simple hash-based sort key.
 
-    This avoids depending on ``random`` module state and keeps the
-    assignment stable across Python versions.
+    Each item's key is the first 8 bytes, read big-endian, of
+    ``sha256(f"{seed_value}|{item}")``; items are ordered by key with a
+    stable sort, so equal keys keep their input order.  The shared prefix
+    is hashed once and copied per item, and the keys are sorted as one
+    ``uint64`` array.  This avoids depending on ``random`` module state and
+    keeps the assignment stable across Python versions.
     """
-
-    def key(item: int) -> int:
-        digest = hashlib.sha256(f"{seed_value}|{item}".encode("utf-8")).digest()
-        return int.from_bytes(digest[:8], "big")
-
-    return sorted(items, key=key)
+    prefix = hashlib.sha256(f"{seed_value}|".encode("utf-8"))
+    digests = []
+    for item in items:
+        digest = prefix.copy()
+        digest.update(f"{item}".encode("utf-8"))
+        digests.append(digest.digest())
+    # A sha256 digest is four 8-byte words; the key is the first.
+    keys = np.frombuffer(b"".join(digests), dtype=">u8")[::4]
+    return [items[i] for i in np.argsort(keys, kind="stable").tolist()]
 
 
 @dataclass(frozen=True)
@@ -106,14 +115,13 @@ class DutyScheduler:
             for slot_offset in range(slots)
         ]
 
-        committees: List[List[int]] = [[] for _ in range(slots)]
-        for position, validator_index in enumerate(shuffled):
-            committees[position % slots].append(validator_index)
-
         duties = EpochDuties(
             epoch=epoch,
             proposers=tuple(proposers),
-            attestation_committees=tuple(tuple(c) for c in committees),
+            # Round-robin: position p of the shuffle attests at slot p % slots.
+            attestation_committees=tuple(
+                tuple(shuffled[offset::slots]) for offset in range(slots)
+            ),
         )
         self._cache[epoch] = duties
         return duties

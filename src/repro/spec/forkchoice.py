@@ -9,10 +9,24 @@ Observed SubTree).
 The store is array-native: latest messages live in flat per-validator
 ``int64`` arrays (epoch, interned head-root id) updated either one vote at
 a time (:meth:`Store.on_attestation`) or a whole committee batch per call
-(:meth:`Store.on_attestation_batch`), and vote weights are tallied with
-one ``bincount`` over those arrays instead of a per-message Python walk.
-Subtree weights are accumulated bottom-up in a single pass over the tree,
-so a head computation is O(votes + tree) instead of O(tree²).  The
+(:meth:`Store.on_attestation_batch`).  A head computation is one tally
+and one walk, both on the block tree's positions (proto-array's layout,
+see :mod:`repro.spec.blocktree`):
+
+* the tally is a weighted ``bincount`` over the vote arrays (the sums run
+  in validator-index order), with the voted roots taken from a count
+  ``bincount``; each voted root's weight lands on its block's position;
+* subtree totals come from one pass over positions from last to first,
+  each total adding the block's own weight and then its children's in
+  insertion order, so every float equals the recursive definition's;
+* the GHOST walk descends from the justified root by position, breaking
+  ties between children by ``(total, root.hex)``.
+
+Proto-array's incremental vote deltas are not used: applying them back to
+front reassociates the float sums, and balances are fractional after
+penalties, so near-tie heads could move.  Instead the totals are cached
+per store version and caller-named stake array, so a view's head and
+branch-weight queries between two mutations share one tally.  The
 ``latest_messages`` mapping of the consensus-spec ``Store`` survives as a
 reconstructing property for inspection and tests.
 """
@@ -20,7 +34,7 @@ reconstructing property for inspection and tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -71,6 +85,8 @@ class Store:
         # NOTE: this id space is the store's own — never compare its ids
         # with the FFG vote pool's (each structure interns independently).
         self._interner = RootInterner()
+        #: ``((version, weights_key), totals)`` of the last keyed tally.
+        self._totals_cache: Optional[Tuple[Tuple[int, Hashable], List[float]]] = None
 
     # ------------------------------------------------------------------
     # Latest-message array plumbing
@@ -133,6 +149,9 @@ class Store:
         copy._latest_epoch = self._latest_epoch.copy()
         copy._latest_root = self._latest_root.copy()
         copy._interner = self._interner.clone()
+        # Both trees keep the same positions and a cached list is never
+        # mutated, so the two sides may share it.
+        copy._totals_cache = self._totals_cache
         return copy
 
     # ------------------------------------------------------------------
@@ -223,7 +242,12 @@ class Store:
     def _vote_weights_from_stakes(
         self, eligible_stakes: np.ndarray
     ) -> Dict[Root, float]:
-        """Stake-weighted latest-message tallies per block root (bincount)."""
+        """Stake-weighted latest-message tallies per voted block root.
+
+        One weighted ``bincount`` over the latest-message arrays gives the
+        tallies in validator-index order; a count ``bincount`` over the
+        same ids names the roots that hold at least one vote.
+        """
         limit = min(self._latest_epoch.shape[0], eligible_stakes.shape[0])
         if limit == 0:
             return {}
@@ -231,70 +255,88 @@ class Store:
         if not valid.any():
             return {}
         roots = self._latest_root[:limit][valid]
+        size = len(self._interner)
         totals = np.bincount(
             roots,
             weights=np.asarray(eligible_stakes, dtype=float)[:limit][valid],
-            minlength=len(self._interner),
+            minlength=size,
         )
+        voted = np.flatnonzero(np.bincount(roots, minlength=size))
+        root_of = self._interner.root_of
         return {
-            self._interner.root_of(int(root_id)): float(totals[int(root_id)])
-            for root_id in np.unique(roots)
+            root_of(root_id): total
+            for root_id, total in zip(voted.tolist(), totals[voted].tolist())
         }
 
-    def _vote_weights(
-        self, state: BeaconState, stake_override: Optional[Dict[int, float]] = None
-    ) -> Dict[Root, float]:
-        """Stake-weighted latest-message counts per block root."""
-        return self._vote_weights_from_stakes(
-            self._eligible_stakes(state, stake_override)
-        )
+    def subtree_totals(
+        self, eligible_stakes: np.ndarray, weights_key: Optional[Hashable] = None
+    ) -> List[float]:
+        """Subtree vote weight of every block, indexed by tree position.
 
-    def subtree_weights(self, weights: Dict[Root, float]) -> Dict[Root, float]:
-        """Total vote weight of every block's subtree, keyed by block root.
+        Each voted root's tally lands on its block's position (votes for
+        roots outside the tree weigh nothing), then
+        :meth:`BlockTree.subtree_totals` sums the subtrees in one pass.
 
-        One bottom-up pass (children first, by descending slot) instead of
-        re-walking the subtree per block, so O(votes + tree) in all.  Each
-        total adds the block's own weight, then its children's totals in
-        ``children_of`` order — the order of the recursive definition, so
-        the floats are the same bit for bit.
+        A caller that names its stake array with ``weights_key`` (a value
+        it changes whenever the array changes) gets the totals cached per
+        ``(version, weights_key)``, so head and branch-weight queries
+        between two mutations share one tally.  Treat the list as
+        read-only.
         """
-        subtree: Dict[Root, float] = {}
-        for block in sorted(self.tree.blocks(), key=lambda b: b.slot, reverse=True):
-            total = weights.get(block.root, 0.0)
-            for child in self.tree.children_of(block.root):
-                total += subtree[child]
-            subtree[block.root] = total
-        return subtree
+        key = (self.version, weights_key)
+        cached = self._totals_cache
+        if weights_key is not None and cached is not None and cached[0] == key:
+            return cached[1]
+        tree = self.tree
+        own = [0.0] * len(tree)
+        for root, weight in self._vote_weights_from_stakes(eligible_stakes).items():
+            if root in tree:
+                own[tree.position_of(root)] = weight
+        totals = tree.subtree_totals(own)
+        if weights_key is not None:
+            self._totals_cache = (key, totals)
+        return totals
 
-    def _ghost_walk(self, weights: Dict[Root, float]) -> Root:
-        """Descend from the justified root into the heaviest subtree."""
+    def _ghost_walk(self, totals: Sequence[float]) -> Root:
+        """Descend from the justified root into the heaviest subtree.
+
+        Ties between children break by root hex, for determinism.
+        """
+        tree = self.tree
         start = self.justified_checkpoint.root
-        if start not in self.tree:
-            start = self.tree.genesis_root
-        subtree = self.subtree_weights(weights)
-        head = start
-        while True:
-            children = self.tree.children_of(head)
-            if not children:
-                return head
-            # Choose the heaviest child; break ties by root for determinism.
-            head = max(children, key=lambda child: (subtree[child], child.hex))
+        if start not in tree:
+            start = tree.genesis_root
+        roots, children = tree.roots, tree.child_positions
+        head = tree.position_of(start)
+        kids = children[head]
+        while kids:
+            if len(kids) == 1:
+                head = kids[0]
+            else:
+                head = max(kids, key=lambda child: (totals[child], roots[child].hex))
+            kids = children[head]
+        return roots[head]
 
     def get_head(
         self, state: BeaconState, stake_override: Optional[Dict[int, float]] = None
     ) -> Root:
         """Run LMD-GHOST from the justified checkpoint and return the head root."""
-        return self._ghost_walk(self._vote_weights(state, stake_override))
+        return self._ghost_walk(
+            self.subtree_totals(self._eligible_stakes(state, stake_override))
+        )
 
-    def get_head_weighted(self, eligible_stakes: np.ndarray) -> Root:
+    def get_head_weighted(
+        self, eligible_stakes: np.ndarray, weights_key: Optional[Hashable] = None
+    ) -> Root:
         """LMD-GHOST head from precomputed per-validator weights.
 
         The hot path for view nodes: the caller maintains the eligible
         stake array (justified balances, zeroed for inactive/slashed
         validators) and refreshes it once per epoch instead of rebuilding
-        it from the registry on every head query.
+        it from the registry on every head query.  ``weights_key`` shares
+        the tally with :meth:`subtree_totals` queries at the same key.
         """
-        return self._ghost_walk(self._vote_weights_from_stakes(eligible_stakes))
+        return self._ghost_walk(self.subtree_totals(eligible_stakes, weights_key))
 
     def candidate_chain(self, state: BeaconState) -> List[BeaconBlock]:
         """The candidate chain (Definition 1): genesis → head."""

@@ -1,9 +1,11 @@
 """The view node's branch-weight cache must never serve a stale weight.
 
-``Node.branch_weight`` answers from one subtree map per (store version,
-weight version), the key the head cache uses.  Every mutation that can
-move a weight must miss that cache, and the cached floats must equal
-the recursive definition of a subtree weight bit for bit.
+``Node.branch_weight`` and ``Node.head`` answer from one list of subtree
+totals per (store version, weight version), the key the head cache uses
+(the store caches the list under the node's weight version).
+Every mutation that can move a weight must miss that cache, and the
+cached floats must equal the recursive definition of a subtree weight
+bit for bit.
 """
 
 import pytest
@@ -121,19 +123,27 @@ class TestCacheFollowsEveryMutation:
     def test_queries_between_mutations_compute_once(self, forked, monkeypatch):
         node, left, right = forked
         calls = []
-        original = node.store.subtree_weights
+        original = node.store._vote_weights_from_stakes
         monkeypatch.setattr(
             node.store,
-            "subtree_weights",
-            lambda weights: calls.append(1) or original(weights),
+            "_vote_weights_from_stakes",
+            lambda stakes: calls.append(1) or original(stakes),
         )
         for _ in range(3):
             node.branch_weight(left.root)
             node.branch_weight(right.root)
         assert len(calls) == 1
+        # The head reads the same tally as the weights at this version.
+        assert node.head() == left.root
+        assert len(calls) == 1
         deliver_votes(node, right.root, [12])
         node.branch_weight(left.root)
         assert len(calls) == 2
+        # And in the other order: a head miss tallies, the weights reuse it.
+        deliver_votes(node, right.root, [13])
+        node.head()
+        node.branch_weight(right.root)
+        assert len(calls) == 3
 
     def test_unknown_root_raises(self, forked):
         node, _, _ = forked

@@ -320,6 +320,52 @@ def test_batch_refuses_a_negative_validator_like_a_row():
             )
 
 
+def test_drained_votes_keep_their_arrival_order():
+    """A pending batch whose head lands is ingested in the same drain pass,
+    before blocks that only become attachable in a later pass.
+
+    Ingest order decides first-vote-wins in the FFG pool, the latest
+    message in the store and the (first, second) order of slashing
+    evidence.  Here a vote batch on ``b`` arrives first and pends, then
+    ``d`` (child of ``c``, child of ``b``) and ``c`` pend, then ``b``
+    lands: the drain adds ``c`` and ingests the batch in its first pass
+    and adds ``d``, whose carried rows double-vote, only in the second.
+    """
+    config = SpecConfig.minimal()
+    node = Node(validator_index=0, registry=make_registry(8, config), config=config)
+    source = Checkpoint(epoch=0, root=GENESIS_ROOT)
+    b = BeaconBlock.create(slot=5, proposer_index=1, parent_root=GENESIS_ROOT)
+    c = BeaconBlock.create(slot=6, proposer_index=2, parent_root=b.root)
+    double_votes = FFGVote(source=source, target=Checkpoint(epoch=1, root=c.root))
+    carried = tuple(
+        Attestation(validator_index=index, slot=6, head_root=c.root, ffg=double_votes)
+        for index in (5, 6)
+    )
+    d = BeaconBlock.create(
+        slot=7, proposer_index=3, parent_root=c.root, attestations=carried
+    )
+    early = AttestationBatch(
+        slot=5, head_root=b.root, source=source,
+        target=Checkpoint(epoch=1, root=b.root), validators=np.asarray([5, 6]),
+    )
+    node.receive(Message.attestation_batch(early, sender=5, sent_at=0.0))
+    for block in (d, c, b):
+        node.receive(Message.block(block, sender=0, sent_at=0.0))
+    assert not node.pending.blocks and not node.pending.attestations
+
+    votes = node.pool.votes_for_target_epoch(1)
+    assert {index: vote.target.root for index, vote in votes.items()} == {
+        5: b.root, 6: b.root,
+    }
+    assert {index: message.root for index, message in node.store.latest_messages.items()} == {
+        5: c.root, 6: c.root,
+    }
+    assert [
+        (evidence.validator_index, evidence.first.head_root, evidence.second.head_root)
+        for evidence in node.evidence_view(0)
+    ] == [(5, b.root, c.root), (6, b.root, c.root)]
+
+
 # ----------------------------------------------------------------------
 # The inclusion log against a plain row list
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for repro.spec.blocktree."""
 
+import random
+
 import pytest
 
 from repro.spec.block import BeaconBlock
@@ -122,3 +124,47 @@ class TestBlockTreeAncestry:
         tree = BlockTree()
         chain_of(tree, 7)
         assert tree.highest_slot() == 7
+
+
+class TestPositionLayout:
+    @staticmethod
+    def random_tree(seed: int) -> BlockTree:
+        rng = random.Random(seed)
+        tree = BlockTree()
+        blocks = [tree.get(GENESIS_ROOT)]
+        for slot in range(1, 40):
+            parent = rng.choice(blocks[-6:])
+            block = BeaconBlock.create(
+                slot=slot, proposer_index=slot, parent_root=parent.root, branch_tag=str(slot)
+            )
+            tree.add_block(block)
+            blocks.append(block)
+        return tree
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_leaf_list_equals_a_scan_in_insertion_order(self, seed):
+        tree = self.random_tree(seed)
+        for copy in (tree, tree.clone()):
+            scanned = [root for root in copy.roots if not copy.children_of(root)]
+            assert copy.leaves() == scanned
+        assert len(tree.leaves()) > 1
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_positions_follow_insertion_and_parents_come_first(self, seed):
+        tree = self.random_tree(seed)
+        assert [tree.position_of(root) for root in tree.roots] == list(range(len(tree)))
+        for position, children in enumerate(tree.child_positions):
+            assert all(child > position for child in children)
+            assert [tree.roots[c] for c in children] == tree.children_of(tree.roots[position])
+
+    def test_clone_adds_independently(self):
+        tree = self.random_tree(0)
+        copy = tree.clone()
+        leaf = tree.leaves()[0]
+        child = BeaconBlock.create(slot=99, proposer_index=0, parent_root=leaf)
+        copy.add_block(child)
+        assert leaf in tree.leaves() and leaf not in copy.leaves()
+        assert copy.leaves()[-1] == child.root
+        assert child.root not in tree
+        with pytest.raises(UnknownBlockError):
+            tree.position_of(child.root)

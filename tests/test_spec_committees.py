@@ -1,8 +1,15 @@
 """Tests for repro.spec.committees."""
 
+import hashlib
+
 import pytest
 
-from repro.spec.committees import DutyScheduler, EpochDuties
+from repro.spec.committees import (
+    DutyScheduler,
+    EpochDuties,
+    _deterministic_shuffle,
+    _seed_int,
+)
 from repro.spec.config import SpecConfig
 from repro.spec.validator import make_registry
 
@@ -103,4 +110,84 @@ class TestBouncingWindow:
         not_first = [i for i in range(12) if i not in duties.proposers[:2]]
         assert not scheduler.proposer_in_first_slots(0, registry, not_first[:1], window=2) or (
             not_first[0] in duties.proposers[:2]
+        )
+
+
+# ----------------------------------------------------------------------
+# The shuffle against its sort-by-hash definition
+# ----------------------------------------------------------------------
+def reference_shuffle(items, seed_value):
+    """The definition: a stable sort by each item's leading hash word."""
+
+    def key(item):
+        digest = hashlib.sha256(f"{seed_value}|{item}".encode("utf-8")).digest()
+        return int.from_bytes(digest[:8], "big")
+
+    return sorted(items, key=key)
+
+
+def reference_duties(scheduler, epoch, validators):
+    """Duties built from the reference shuffle with the round-robin loop."""
+    active = [v.index for v in validators if v.is_active(epoch) and v.stake > 0]
+    slots = scheduler.config.slots_per_epoch
+    shuffled = reference_shuffle(active, _seed_int(scheduler.seed, epoch, "shuffle"))
+    proposer_seed = _seed_int(scheduler.seed, epoch, "proposer")
+    proposers = [
+        shuffled[_seed_int(str(proposer_seed), offset, "slot") % len(shuffled)]
+        for offset in range(slots)
+    ]
+    committees = [[] for _ in range(slots)]
+    for position, validator_index in enumerate(shuffled):
+        committees[position % slots].append(validator_index)
+    return EpochDuties(
+        epoch=epoch,
+        proposers=tuple(proposers),
+        attestation_committees=tuple(tuple(c) for c in committees),
+    )
+
+
+class TestShuffleMatchesReference:
+    @pytest.mark.parametrize("seed_value", [0, 1, 7, 2**63 - 1, 2**64 - 1, 123456789012345])
+    def test_contiguous_indices(self, seed_value):
+        items = list(range(500))
+        assert _deterministic_shuffle(items, seed_value) == reference_shuffle(items, seed_value)
+
+    @pytest.mark.parametrize("seed_value", [3, 99, 2**40 + 5])
+    def test_non_contiguous_indices(self, seed_value):
+        # Gaps, a large index and a descending input order.
+        items = [9999, 4, 17, 18, 250, 3, 1 << 20, 42] + list(range(1000, 1200, 7))
+        assert _deterministic_shuffle(items, seed_value) == reference_shuffle(items, seed_value)
+
+    def test_empty_and_single(self):
+        assert _deterministic_shuffle([], 5) == []
+        assert _deterministic_shuffle([12], 5) == [12]
+
+    def test_ten_thousand_validators(self):
+        items = list(range(10_000))
+        seed_value = _seed_int("balancing-10k", 0, "shuffle")
+        assert _deterministic_shuffle(items, seed_value) == reference_shuffle(items, seed_value)
+
+
+class TestDutiesMatchReference:
+    @pytest.mark.parametrize("seed", ["test-seed", "s1", "7/balancing-0"])
+    @pytest.mark.parametrize("epoch", [0, 3])
+    def test_minimal_registry(self, registry, seed, epoch):
+        scheduler = DutyScheduler(SpecConfig.minimal(), seed=seed)
+        assert scheduler.duties_for_epoch(epoch, registry) == reference_duties(
+            scheduler, epoch, registry
+        )
+
+    def test_with_exited_validators(self, registry):
+        registry[0].exit(1)
+        registry[5].exit(2)
+        scheduler = DutyScheduler(SpecConfig.minimal(), seed="exits")
+        assert scheduler.duties_for_epoch(4, registry) == reference_duties(
+            scheduler, 4, registry
+        )
+
+    def test_ten_thousand_validators(self):
+        registry = make_registry(10_000, SpecConfig.minimal(), byzantine_fraction=0.2)
+        scheduler = DutyScheduler(SpecConfig.minimal(), seed="1/balancing-0")
+        assert scheduler.duties_for_epoch(0, registry) == reference_duties(
+            scheduler, 0, registry
         )

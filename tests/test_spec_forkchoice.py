@@ -181,9 +181,10 @@ class TestSubtreeWeights:
                 store.on_block(child)
                 blocks.append(child)
         weights = {blk.root: 0.1 * (i + 1) + 1.0 / (i + 3) for i, blk in enumerate(blocks)}
-        subtree = store.subtree_weights(weights)
-        assert set(subtree) == {blk.root for blk in store.tree.blocks()}
-        for root, total in subtree.items():
+        roots = store.tree.roots
+        totals = store.tree.subtree_totals([weights.get(root, 0.0) for root in roots])
+        assert set(roots) == {blk.root for blk in store.tree.blocks()}
+        for root, total in zip(roots, totals):
             assert total == self.recursive(store, root, weights)
 
 
