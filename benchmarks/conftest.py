@@ -1,8 +1,8 @@
 """Benchmark-suite configuration.
 
-Makes ``src/`` importable without installation and keeps pytest-benchmark
-output compact (the benches double as reproduction checks: each one asserts
-the paper-facing shape of its result in addition to timing the run).
+Makes ``src/`` importable without installation.  The ``bench_*.py`` files
+are performance gates; the paper's numbers are checked by the tier-1
+ledger, ``tests/test_paper_numbers.py``.
 
 Every ``BENCH_*.json`` artifact is written through :func:`_record` (the
 ``bench_record`` fixture), which stamps the machine the numbers came from.

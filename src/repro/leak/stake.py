@@ -126,7 +126,9 @@ def continuous_ejection_epoch(
     Returns ``None`` for active validators (never ejected).  For the mainnet
     constants this evaluates to roughly 4661 epochs (inactive) and 7611
     epochs (semi-active); the paper reports 4685 and 7652 from its own
-    numerical evaluation — see DESIGN.md for the calibration note.
+    numerical evaluation — see the calibration note at the inactive
+    ejection-epoch row of the paper-numbers ledger,
+    ``tests/test_paper_numbers.py``.
     """
     if behavior is Behavior.ACTIVE:
         return None

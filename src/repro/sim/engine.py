@@ -49,7 +49,7 @@ sharding changes who ingests a message, never what is sent.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.agents.base import (
     AgentContext,
@@ -104,6 +104,14 @@ class SimulationEngine:
             for index, agent in agents.items()
             if type(agent).on_epoch_start is not ValidatorAgent.on_epoch_start
         ]
+        # Control never changes, so the honest/Byzantine split is fixed here.
+        self._honest: List[int] = [
+            index for index, agent in agents.items() if not agent.is_byzantine
+        ]
+        self._byzantine: List[int] = [
+            index for index, agent in agents.items() if agent.is_byzantine
+        ]
+        self._byzantine_set: FrozenSet[int] = frozenset(self._byzantine)
         self.schedule = schedule or PartitionSchedule.fully_connected()
         self.clock = SlotClock(config=self.config)
         self.scheduler = DutyScheduler(config=self.config, seed=seed)
@@ -174,11 +182,8 @@ class SimulationEngine:
             lambda endpoint: self._view_by_endpoint[endpoint].member_array,
             self._ensure_exact_audience,
         )
-        byzantine_indices = {
-            index for index, agent in agents.items() if agent.is_byzantine
-        }
         self.adversary = Adversary(
-            byzantine_indices=byzantine_indices,
+            byzantine_indices=set(self._byzantine),
             network=self.network,
             schedule=self.schedule,
         )
@@ -190,16 +195,9 @@ class SimulationEngine:
         self._current_slot = 0
         self._current_time = 0.0
 
-        # Views containing at least one honest member drive the global
-        # Safety/Liveness observables (duplicated states add nothing).
-        self._honest_views: List[Node] = [
-            view
-            for view in self.views.values()
-            if any(not self.agents[m].is_byzantine for m in view.members)
-        ]
         # Memoized safety check (see _finalized_chains_conflict).
         self._safety_latched = False
-        self._safety_cache: Optional[Tuple[Tuple, bool, bool]] = None
+        self._refresh_honest_views()
         # Per-epoch duty cache, so a slot's contexts stop recomputing
         # committees per validator.
         self._duty_cache: Dict[int, EpochDuties] = {}
@@ -238,8 +236,8 @@ class SimulationEngine:
             return name
 
         def add_split_by_control(name: str, members: Sequence[int]) -> None:
-            byzantine = tuple(i for i in members if self.agents[i].is_byzantine)
-            honest = tuple(i for i in members if not self.agents[i].is_byzantine)
+            byzantine = tuple(i for i in members if i in self._byzantine_set)
+            honest = tuple(i for i in members if i not in self._byzantine_set)
             if honest:
                 groups[unique_name(name)] = honest
             if byzantine:
@@ -346,25 +344,27 @@ class SimulationEngine:
         return child_name
 
     def _refresh_honest_views(self) -> None:
-        self._honest_views = [
+        # Views containing at least one honest member drive the global
+        # Safety/Liveness observables (duplicated states add nothing).
+        self._honest_views: List[Node] = [
             view
             for view in self.views.values()
-            if any(not self.agents[m].is_byzantine for m in view.members)
+            if any(m not in self._byzantine_set for m in view.members)
         ]
         # The safety fingerprint is positional over the honest views, so a
         # topology change invalidates the memo (the latch survives).
-        self._safety_cache = None
+        self._safety_cache: Optional[Tuple[Tuple, bool, bool]] = None
 
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
     def honest_indices(self) -> List[int]:
         """Indices of honest validators."""
-        return [index for index, agent in self.agents.items() if not agent.is_byzantine]
+        return list(self._honest)
 
     def byzantine_indices(self) -> List[int]:
         """Indices of Byzantine validators."""
-        return [index for index, agent in self.agents.items() if agent.is_byzantine]
+        return list(self._byzantine)
 
     def _duties_for_epoch(self, epoch: int) -> EpochDuties:
         duties = self._duty_cache.get(epoch)
@@ -526,8 +526,7 @@ class SimulationEngine:
             finalized = view.state.finalized_checkpoint.epoch
             for member in view.members:
                 finalized_epoch_by_node[member] = finalized
-        honest = self.honest_indices()
-        representative = self.nodes[honest[0]].state if honest else None
+        representative = self.nodes[self._honest[0]].state if self._honest else None
         return EpochSnapshot(
             epoch=epoch,
             finalized_epoch_by_node=finalized_epoch_by_node,

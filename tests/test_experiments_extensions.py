@@ -13,18 +13,6 @@ from repro.leak.generalized import PenaltyMechanism
 
 
 class TestFigure10MonteCarlo:
-    def test_small_run_matches_closed_form_at_one_third(self):
-        result = fig10_montecarlo.run(
-            beta0_values=(1 / 3,), horizon=1500, n_trials=30, n_honest=100, seed=1
-        )
-        row = result.horizon_rows()[0]
-        assert row["closed_form_single_branch"] == pytest.approx(0.5, abs=1e-3)
-        assert row["closed_form_both_branches"] == pytest.approx(1.0, abs=1e-3)
-        # With two symmetric branches, at least one of them exceeds the
-        # threshold in almost every trial.
-        assert row["empirical_either_branch"] > 0.8
-        assert "Figure 10" in result.format_text()
-
     def test_lower_beta_gives_lower_probability(self):
         result = fig10_montecarlo.run(
             beta0_values=(1 / 3, 0.31), horizon=1500, n_trials=20, n_honest=80, seed=2
@@ -72,21 +60,6 @@ class TestGeneralizedMechanismExperiment:
         assert any("ethereum" in name for name in names)
         assert "Generalized penalty mechanisms" in result.format_text()
 
-    def test_ethereum_row_matches_paper_scale(self):
-        result = generalized_mechanism.run()
-        ethereum_row = next(row for row in result.rows() if "ethereum" in row["mechanism"])
-        assert ethereum_row["safety_bound_epochs"] == pytest.approx(4661, abs=5)
-        assert ethereum_row["critical_beta0"] == pytest.approx(0.2421, abs=2e-3)
-
-    def test_faster_leak_has_smaller_bound(self):
-        result = generalized_mechanism.run()
-        rows = {row["mechanism"]: row for row in result.rows()}
-        assert (
-            rows["aggressive (2**20)"]["safety_bound_epochs"]
-            < rows["ethereum (2**26)"]["safety_bound_epochs"]
-            < rows["lenient (2**28)"]["safety_bound_epochs"]
-        )
-
     def test_custom_mechanism_dict(self):
         result = generalized_mechanism.run(
             mechanisms={"custom": PenaltyMechanism.with_quotient(float(2 ** 22))}
@@ -108,11 +81,6 @@ class TestRecoveryTailExperiment:
         result = recovery_tail.run(p0_values=(0.6, 0.62))
         assert len(result.rows()) == 2
         assert "recovery tail" in result.format_text().lower()
-
-    def test_tail_is_shorter_than_leak(self):
-        result = recovery_tail.run(p0_values=(0.6,))
-        row = result.rows()[0]
-        assert 0 < row["recovery_tail_epochs"] < row["leak_duration_epochs"]
 
     def test_longer_leak_longer_tail(self):
         result = recovery_tail.run(p0_values=(0.6, 0.65))

@@ -6,26 +6,6 @@ from repro.experiments import fig8_markov_bounce, registry
 
 
 class TestFigure8:
-    def test_even_split_values(self):
-        result = fig8_markov_bounce.run(p0_values=(0.5,))
-        row = result.rows()[0]
-        assert row["path_AA"] == pytest.approx(0.25)
-        assert row["path_AB"] == pytest.approx(0.25)
-        assert row["increment_+8"] == pytest.approx(0.25)
-        assert row["increment_+3"] == pytest.approx(0.5)
-        assert row["increment_-2"] == pytest.approx(0.25)
-
-    def test_paths_sum_to_one(self):
-        result = fig8_markov_bounce.run(p0_values=(0.5, 0.6, 0.66))
-        for p0 in result.p0_values:
-            assert sum(result.path_probabilities[p0].values()) == pytest.approx(1.0)
-            assert sum(result.increment_distributions[p0].values()) == pytest.approx(1.0)
-
-    def test_mean_increment_is_three_for_every_p0(self):
-        result = fig8_markov_bounce.run(p0_values=(0.5, 0.55, 0.6, 0.66))
-        for p0 in result.p0_values:
-            assert result.mean_two_epoch_increment[p0] == pytest.approx(3.0)
-
     def test_exact_walk_consistency(self):
         # Seen from one branch, the exact two-epoch walk mean is 2*(4-5p)
         # which the rows expose for cross-checking against the drift model.
