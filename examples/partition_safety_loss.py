@@ -42,7 +42,8 @@ def sweep_splits() -> None:
     print(format_table(rows))
     print()
     print("The even split (p0 = 0.5) is the fastest configuration; no honest-only")
-    print("partition can lose Safety before ~4686 epochs (about 3 weeks).")
+    print("partition can lose Safety before ~4662 epochs (about 3 weeks; the")
+    print("paper's 4686 takes its own 4685-epoch ejection as given).")
 
 
 def figure3_chart() -> None:
@@ -69,7 +70,7 @@ def figure3_chart() -> None:
 def explain_bound() -> None:
     print()
     print("=" * 72)
-    print("Where the 4685-epoch bound comes from")
+    print("Where the ~4661-epoch bound comes from")
     print("=" * 72)
     print("With p0 < 2/3 on a branch, the branch only regains a supermajority once")
     print("the stake of the validators it deems inactive has leaked away, i.e. at")

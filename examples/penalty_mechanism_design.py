@@ -3,9 +3,10 @@
 
 The paper frames its results as a first step towards analysing penalty
 mechanisms in BFT protocols in general (Tezos and Polkadot have similar
-devices).  This example uses the generalized mechanism module to explore
-the design space: how the leak speed (penalty quotient), the score
-dynamics, and the quorum size move the three quantities that matter —
+devices).  Every closed form reads its constants from a ``SpecConfig``, so
+this example explores the design space by overriding config fields: how
+the leak speed (penalty quotient), the score dynamics, and the quorum size
+move the three quantities that matter —
 
 * how long a partition must last before Safety can be lost,
 * how long inactive validators survive before ejection,
@@ -18,8 +19,10 @@ against the per-validator Monte-Carlo simulator.
 Run with:  python examples/penalty_mechanism_design.py
 """
 
+from repro.analysis.threshold import critical_beta0
 from repro.experiments import fig10_montecarlo, generalized_mechanism, recovery_tail
-from repro.leak.generalized import PenaltyMechanism
+from repro.leak.stake import Behavior, continuous_ejection_epoch
+from repro.spec.config import SpecConfig
 from repro.viz import format_table
 
 
@@ -43,19 +46,19 @@ def custom_mechanism() -> None:
     print("=" * 72)
     print("A custom mechanism: milder penalties for intermittent validators")
     print("=" * 72)
-    custom = PenaltyMechanism(score_bias=4.0, score_recovery=3.0)
-    ethereum = PenaltyMechanism.ethereum()
+    configs = {
+        "ethereum (bias 4, recovery 1)": SpecConfig(),
+        "custom (bias 4, recovery 3)": SpecConfig(inactivity_score_recovery=3),
+    }
     rows = [
         {
-            "mechanism": "ethereum (bias 4, recovery 1)",
-            "semi-active ejection": ethereum.ejection_epoch_semi_active(),
-            "critical beta0": ethereum.critical_beta0(0.5),
-        },
-        {
-            "mechanism": "custom (bias 4, recovery 3)",
-            "semi-active ejection": custom.ejection_epoch_semi_active(),
-            "critical beta0": custom.critical_beta0(0.5),
-        },
+            "mechanism": name,
+            "semi-active ejection": continuous_ejection_epoch(
+                Behavior.SEMI_ACTIVE, config=config
+            ),
+            "critical beta0": critical_beta0(0.5, config=config),
+        }
+        for name, config in configs.items()
     ]
     print(format_table(rows))
     print()

@@ -45,7 +45,7 @@ def beta_over_time() -> None:
     print(ascii_plot(series, width=68, height=14, x_label="epoch", y_label="beta(t)"))
     print()
     print("  The continuous proportion stays below 1/3 until the ejection of the")
-    print("  honest inactive validators (epoch ~4685) removes their residual stake")
+    print("  honest inactive validators (epoch ~4661) removes their residual stake")
     print("  from the denominator; the peak reached at that point is Equation 13:")
     rows = []
     for beta0 in (0.2, 0.2421, 0.28, 0.33):

@@ -19,7 +19,7 @@ Scenario  Setting                         Outcome
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro import constants
 from repro.analysis.bouncing import BouncingAttackModel
@@ -100,7 +100,7 @@ def run_all_honest_scenario(
         config=config or SpecConfig.mainnet(),
     )
     result = simulation.run(max_epochs)
-    analytical = conflicting_finalization_time(ByzantineStrategy.NONE, p0, 0.0)
+    analytical = conflicting_finalization_time(ByzantineStrategy.NONE, p0, 0.0, config=config)
     return ScenarioOutcome(
         scenario_id="5.1",
         description="All honest validators, network partition",
@@ -145,7 +145,9 @@ def run_slashable_byzantine_scenario(
         config=config or SpecConfig.mainnet(),
     )
     result = simulation.run(max_epochs)
-    analytical = conflicting_finalization_time(ByzantineStrategy.SLASHING, p0, beta0)
+    analytical = conflicting_finalization_time(
+        ByzantineStrategy.SLASHING, p0, beta0, config=config
+    )
     max_beta = max(
         branch.max_byzantine_proportion() for branch in result.branches.values()
     )
@@ -241,7 +243,9 @@ def run_non_slashable_byzantine_scenario(
         config=config or SpecConfig.mainnet(),
     )
     result = simulation.run(max_epochs)
-    analytical = conflicting_finalization_time(ByzantineStrategy.NON_SLASHING, p0, beta0)
+    analytical = conflicting_finalization_time(
+        ByzantineStrategy.NON_SLASHING, p0, beta0, config=config
+    )
     max_beta = max(
         branch.max_byzantine_proportion() for branch in result.branches.values()
     )

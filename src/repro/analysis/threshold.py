@@ -6,13 +6,17 @@ inactive on the branch are ejected.  At that moment the Byzantine stake
 proportion peaks (Equation 13).  This module computes the peak, the set of
 ``(p0, beta0)`` pairs for which the peak exceeds 1/3 (Figure 7), and the
 time at which beta(t) first crosses the threshold (Equation 12).
+
+Every function takes a ``config`` (:class:`~repro.spec.config.SpecConfig`,
+``None`` = mainnet) for the leak constants, and an ``ejection_epoch`` that
+defaults to the config's continuous inactive ejection (4660.58 on mainnet,
+where the paper uses 4685).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy import optimize
@@ -22,9 +26,10 @@ from repro.leak.ratios import (
     byzantine_proportion,
     max_byzantine_proportion,
     min_beta0_to_exceed_threshold,
+    resolve_ejection_epoch,
 )
+from repro.spec.config import SpecConfig
 
-EJECTION_EPOCH = float(constants.PAPER_INACTIVE_EJECTION_EPOCH)
 THRESHOLD = constants.BYZANTINE_SAFETY_THRESHOLD
 
 
@@ -43,26 +48,33 @@ class ThresholdCrossing:
     crossing_epoch: Optional[float]
 
 
-def beta_max(p0: float, beta0: float, ejection_epoch: float = EJECTION_EPOCH) -> float:
+def beta_max(
+    p0: float,
+    beta0: float,
+    ejection_epoch: Optional[float] = None,
+    config: Optional[SpecConfig] = None,
+) -> float:
     """Maximum Byzantine proportion reachable on the branch (Equation 13)."""
-    return max_byzantine_proportion(p0, beta0, ejection_epoch)
+    return max_byzantine_proportion(p0, beta0, ejection_epoch, config)
 
 
 def exceeds_threshold(
     p0: float,
     beta0: float,
     threshold: float = THRESHOLD,
-    ejection_epoch: float = EJECTION_EPOCH,
+    ejection_epoch: Optional[float] = None,
+    config: Optional[SpecConfig] = None,
 ) -> bool:
     """True when beta_max(p0, beta0) >= threshold (the Figure-7 condition)."""
-    return beta_max(p0, beta0, ejection_epoch) >= threshold
+    return beta_max(p0, beta0, ejection_epoch, config) >= threshold
 
 
 def crossing_epoch(
     p0: float,
     beta0: float,
     threshold: float = THRESHOLD,
-    ejection_epoch: float = EJECTION_EPOCH,
+    ejection_epoch: Optional[float] = None,
+    config: Optional[SpecConfig] = None,
 ) -> Optional[float]:
     """First epoch at which beta(t, p0, beta0) reaches ``threshold`` (Eq. 12).
 
@@ -71,9 +83,10 @@ def crossing_epoch(
     any) is located with Brent's method.  Returns ``None`` when the
     threshold is never reached before ``ejection_epoch``.
     """
+    ejection_epoch = resolve_ejection_epoch(ejection_epoch, config)
 
     def gap(t: float) -> float:
-        return byzantine_proportion(t, p0, beta0) - threshold
+        return byzantine_proportion(t, p0, beta0, config) - threshold
 
     if gap(0.0) >= 0.0:
         return 0.0
@@ -82,7 +95,7 @@ def crossing_epoch(
     if gap(ejection_epoch) < 0.0:
         # The continuous pre-ejection proportion never crosses; the jump at
         # ejection (Equation 13) may still cross, which beta_max captures.
-        if beta_max(p0, beta0, ejection_epoch) >= threshold:
+        if beta_max(p0, beta0, ejection_epoch, config) >= threshold:
             return ejection_epoch
         return None
     return float(optimize.brentq(gap, 0.0, ejection_epoch, xtol=1e-9, maxiter=200))
@@ -92,16 +105,18 @@ def analyse_pair(
     p0: float,
     beta0: float,
     threshold: float = THRESHOLD,
-    ejection_epoch: float = EJECTION_EPOCH,
+    ejection_epoch: Optional[float] = None,
+    config: Optional[SpecConfig] = None,
 ) -> ThresholdCrossing:
     """Full threshold analysis of one (p0, beta0) pair."""
-    peak = beta_max(p0, beta0, ejection_epoch)
+    ejection_epoch = resolve_ejection_epoch(ejection_epoch, config)
+    peak = beta_max(p0, beta0, ejection_epoch, config)
     return ThresholdCrossing(
         p0=p0,
         beta0=beta0,
         beta_max=peak,
         exceeds_threshold=peak >= threshold,
-        crossing_epoch=crossing_epoch(p0, beta0, threshold, ejection_epoch),
+        crossing_epoch=crossing_epoch(p0, beta0, threshold, ejection_epoch, config),
     )
 
 
@@ -141,9 +156,11 @@ def compute_threshold_region(
     p0_values: Optional[Sequence[float]] = None,
     beta0_values: Optional[Sequence[float]] = None,
     threshold: float = THRESHOLD,
-    ejection_epoch: float = EJECTION_EPOCH,
+    ejection_epoch: Optional[float] = None,
+    config: Optional[SpecConfig] = None,
 ) -> ThresholdRegion:
     """Evaluate the Figure-7 feasibility condition over a (p0, beta0) grid."""
+    ejection_epoch = resolve_ejection_epoch(ejection_epoch, config)
     p0_grid = np.linspace(0.0, 1.0, 101) if p0_values is None else np.asarray(p0_values)
     beta_grid = (
         np.linspace(0.0, 0.33, 100) if beta0_values is None else np.asarray(beta0_values)
@@ -153,10 +170,10 @@ def compute_threshold_region(
     for i, p0 in enumerate(p0_grid):
         for j, beta0 in enumerate(beta_grid):
             feasible_1[i, j] = (
-                beta_max(float(p0), float(beta0), ejection_epoch) >= threshold
+                beta_max(float(p0), float(beta0), ejection_epoch, config) >= threshold
             )
             feasible_2[i, j] = (
-                beta_max(1.0 - float(p0), float(beta0), ejection_epoch) >= threshold
+                beta_max(1.0 - float(p0), float(beta0), ejection_epoch, config) >= threshold
             )
     return ThresholdRegion(
         p0_values=list(map(float, p0_grid)),
@@ -166,11 +183,16 @@ def compute_threshold_region(
     )
 
 
-def critical_beta0(p0: float = 0.5, ejection_epoch: float = EJECTION_EPOCH) -> float:
+def critical_beta0(
+    p0: float = 0.5,
+    ejection_epoch: Optional[float] = None,
+    config: Optional[SpecConfig] = None,
+) -> float:
     """The paper's lower bound beta0 = 1/(1 + 4 e^{-3*4685^2/2^28}) ≈ 0.2421.
 
     For an even honest split (p0 = 0.5) this is the smallest initial
     Byzantine proportion that can eventually exceed one-third on both
-    branches (Section 5.2.3).
+    branches (Section 5.2.3).  At the mainnet config's own ejection epoch
+    (4660.58) it is 0.241671.
     """
-    return min_beta0_to_exceed_threshold(p0, THRESHOLD, ejection_epoch)
+    return min_beta0_to_exceed_threshold(p0, THRESHOLD, ejection_epoch, config)

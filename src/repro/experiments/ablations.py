@@ -18,12 +18,11 @@ from typing import Dict, List, Optional, Sequence
 
 from repro import constants
 from repro.analysis.finalization_time import (
-    ByzantineStrategy,
     threshold_epoch_non_slashing,
     threshold_epoch_slashing,
 )
-from repro.leak.ratios import max_byzantine_proportion
-from repro.leak.stake import Behavior, continuous_ejection_epoch, semi_active_stake, inactive_stake
+from repro.leak.ratios import byzantine_proportion, max_byzantine_proportion
+from repro.leak.stake import Behavior, continuous_ejection_epoch
 from repro.spec.inactivity import discrete_ejection_epoch
 
 
@@ -171,20 +170,17 @@ def run(
         },
     )
 
-    ejection = float(constants.PAPER_INACTIVE_EJECTION_EPOCH)
+    # Both cases at one ejection epoch, the continuous inactive one.
+    ejection = ejection_model.continuous_epochs["inactive"]
     p0_corner, beta0_corner = 0.5, 0.25
-    early: Dict[int, float] = {}
-    for lead in early_leads:
-        t = ejection - lead
-        byzantine = beta0_corner * semi_active_stake(t, s0=1.0)
-        honest_active = p0_corner * (1.0 - beta0_corner)
-        honest_inactive = (1.0 - p0_corner) * (1.0 - beta0_corner) * inactive_stake(t, s0=1.0)
-        early[lead] = byzantine / (honest_active + honest_inactive + byzantine)
     corner = EarlyFinalizationCorner(
         p0=p0_corner,
         beta0=beta0_corner,
-        beta_at_ejection=max_byzantine_proportion(p0_corner, beta0_corner),
-        beta_if_finalizing_early=early,
+        beta_at_ejection=max_byzantine_proportion(p0_corner, beta0_corner, ejection),
+        beta_if_finalizing_early={
+            lead: byzantine_proportion(ejection - lead, p0_corner, beta0_corner)
+            for lead in early_leads
+        },
     )
 
     return AblationResult(

@@ -8,7 +8,7 @@ ratio jumps to 1.  The paper plots p0 in {0.2, 0.3, 0.4, 0.5, 0.6}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro import constants
 from repro.analysis.finalization_time import threshold_epoch_honest_only
@@ -95,7 +95,7 @@ def run(
         p0: (_simulated_series(p0, max_epoch, step) if include_simulation else [])
         for p0 in p0_values
     }
-    thresholds = {p0: threshold_epoch_honest_only(p0) for p0 in p0_values}
+    thresholds = {p0: threshold_epoch_honest_only(p0, ejection) for p0 in p0_values}
     return Figure3Result(
         epochs=epochs,
         p0_values=list(p0_values),

@@ -7,17 +7,14 @@ in slashable behaviour (Equation 9) and when they do not (Equation 10).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.finalization_time import (
-    ByzantineStrategy,
-    threshold_epoch_non_slashing,
-    threshold_epoch_slashing,
-)
+from repro import constants
+from repro.analysis.finalization_time import threshold_epoch_non_slashing, threshold_epoch_slashing
 from repro.core.trials import PerTaskWorker, plan_task_chunks, run_tasks
 
 
@@ -80,10 +77,12 @@ class Figure6Result:
 
 
 def _curve_point(p0: float, beta0: float) -> Tuple[float, float]:
-    """Both Figure-6 curves at one beta0 (picklable for worker processes)."""
+    """Both Figure-6 curves at one beta0 (picklable for worker processes),
+    capped at the paper's 4685-epoch ejection."""
+    cap = constants.PAPER_INACTIVE_EJECTION_EPOCH
     return (
-        threshold_epoch_slashing(p0, beta0),
-        threshold_epoch_non_slashing(p0, beta0),
+        threshold_epoch_slashing(p0, beta0, cap),
+        threshold_epoch_non_slashing(p0, beta0, cap),
     )
 
 

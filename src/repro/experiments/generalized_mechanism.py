@@ -3,8 +3,9 @@
 The paper's discussion (Sections 1 and 6) points out that other PoS designs
 penalise inactive validators too, and that the interplay of such penalties
 with Byzantine behaviour deserves analysis.  This experiment replays the
-paper's headline quantities under a family of mechanisms parameterised by
-the penalty quotient (leak speed) and score dynamics:
+paper's headline quantities under a family of mechanisms, each a
+:class:`~repro.spec.config.SpecConfig` that overrides the penalty quotient
+(leak speed), the score dynamics or the quorum:
 
 * how long a partition must last before Safety is lost (Section 5.1 bound),
 * when inactive / semi-active validators get ejected (Figure 2),
@@ -13,17 +14,21 @@ the penalty quotient (leak speed) and score dynamics:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
-from repro.leak.generalized import PenaltyMechanism
+from repro.analysis.finalization_time import ByzantineStrategy, conflicting_finalization_time
+from repro.analysis.threshold import critical_beta0
+from repro.leak.stake import Behavior, continuous_ejection_epoch
+from repro.spec.config import SpecConfig
 
 
 @dataclass
 class GeneralizedMechanismResult:
-    """Headline quantities per penalty mechanism."""
+    """Headline quantities per penalty mechanism (one config each)."""
 
-    mechanisms: Dict[str, PenaltyMechanism]
+    mechanisms: Dict[str, SpecConfig]
     safety_bounds: Dict[str, float]
     inactive_ejections: Dict[str, float]
     semi_active_ejections: Dict[str, Optional[float]]
@@ -33,14 +38,14 @@ class GeneralizedMechanismResult:
         return [
             {
                 "mechanism": name,
-                "penalty_quotient": self.mechanisms[name].penalty_quotient,
-                "score_bias": self.mechanisms[name].score_bias,
+                "penalty_quotient": float(config.inactivity_penalty_quotient),
+                "score_bias": float(config.inactivity_score_bias),
                 "safety_bound_epochs": self.safety_bounds[name],
                 "inactive_ejection_epoch": self.inactive_ejections[name],
                 "semi_active_ejection_epoch": self.semi_active_ejections[name],
                 "critical_beta0": self.critical_beta0s[name],
             }
-            for name in self.mechanisms
+            for name, config in self.mechanisms.items()
         ]
 
     def format_text(self) -> str:
@@ -48,7 +53,8 @@ class GeneralizedMechanismResult:
         for row in self.rows():
             semi = row["semi_active_ejection_epoch"]
             lines.append(
-                f"  {row['mechanism']:<22} quotient=2^{_log2(row['penalty_quotient']):<4.0f} "
+                f"  {row['mechanism']:<22} "
+                f"quotient=2^{math.log2(row['penalty_quotient']):<4.0f} "
                 f"safety bound={row['safety_bound_epochs']:>8.0f} epochs, "
                 f"ejection (inactive/semi)={row['inactive_ejection_epoch']:>7.0f}/"
                 f"{semi if semi is None else format(semi, '.0f'):>7}, "
@@ -57,33 +63,38 @@ class GeneralizedMechanismResult:
         return "\n".join(lines)
 
 
-def _log2(value: object) -> float:
-    import math
-
-    return math.log2(float(value))  # type: ignore[arg-type]
-
-
-DEFAULT_MECHANISMS: Dict[str, PenaltyMechanism] = {
-    "ethereum (2**26)": PenaltyMechanism.ethereum(),
-    "aggressive (2**20)": PenaltyMechanism.aggressive(),
-    "moderate (2**24)": PenaltyMechanism.with_quotient(float(2 ** 24)),
-    "lenient (2**28)": PenaltyMechanism.lenient(),
-    "strict quorum (3/4)": PenaltyMechanism(supermajority=0.75),
+DEFAULT_MECHANISMS: Dict[str, SpecConfig] = {
+    "ethereum (2**26)": SpecConfig(),
+    "aggressive (2**20)": SpecConfig(inactivity_penalty_quotient=2 ** 20),
+    "moderate (2**24)": SpecConfig(inactivity_penalty_quotient=2 ** 24),
+    "lenient (2**28)": SpecConfig(inactivity_penalty_quotient=2 ** 28, inactivity_score_bias=2),
+    "strict quorum (3/4)": SpecConfig(supermajority_numerator=3, supermajority_denominator=4),
 }
 
 
 def run(
-    mechanisms: Optional[Dict[str, PenaltyMechanism]] = None,
+    mechanisms: Optional[Dict[str, SpecConfig]] = None,
     p0: float = 0.5,
 ) -> GeneralizedMechanismResult:
     """Evaluate the headline quantities for every mechanism."""
     chosen = dict(DEFAULT_MECHANISMS if mechanisms is None else mechanisms)
     return GeneralizedMechanismResult(
         mechanisms=chosen,
-        safety_bounds={name: m.safety_bound_epochs(p0) for name, m in chosen.items()},
-        inactive_ejections={name: m.ejection_epoch_inactive() for name, m in chosen.items()},
-        semi_active_ejections={
-            name: m.ejection_epoch_semi_active() for name, m in chosen.items()
+        safety_bounds={
+            name: conflicting_finalization_time(
+                ByzantineStrategy.NONE, p0, config=config
+            ).finalization_epoch
+            for name, config in chosen.items()
         },
-        critical_beta0s={name: m.critical_beta0(p0) for name, m in chosen.items()},
+        inactive_ejections={
+            name: continuous_ejection_epoch(Behavior.INACTIVE, config=config)
+            for name, config in chosen.items()
+        },
+        semi_active_ejections={
+            name: continuous_ejection_epoch(Behavior.SEMI_ACTIVE, config=config)
+            for name, config in chosen.items()
+        },
+        critical_beta0s={
+            name: critical_beta0(p0, config=config) for name, config in chosen.items()
+        },
     )

@@ -14,11 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro import constants
-from repro.analysis.finalization_time import (
-    ByzantineStrategy,
-    conflicting_finalization_time,
-    threshold_epoch_honest_only,
-)
+from repro.analysis.finalization_time import ByzantineStrategy, conflicting_finalization_time
 from repro.analysis.partition_scenarios import run_all_honest_scenario
 
 #: The paper's headline bound: conflicting finalization at epoch 4686.
@@ -82,7 +78,9 @@ def run(
     analytical_finalization: Dict[float, float] = {}
     simulated: Dict[float, Optional[int]] = {}
     for p0 in p0_values:
-        result = conflicting_finalization_time(ByzantineStrategy.NONE, p0, 0.0)
+        result = conflicting_finalization_time(
+            ByzantineStrategy.NONE, p0, 0.0, constants.PAPER_INACTIVE_EJECTION_EPOCH
+        )
         analytical_threshold[p0] = result.threshold_epoch
         analytical_finalization[p0] = result.finalization_epoch
         if include_simulation:

@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import constants
 from repro.analysis.bouncing import BouncingAttackModel
 from repro.analysis.finalization_time import (
     ByzantineStrategy,
@@ -148,18 +149,20 @@ class SweepGridResult:
 
 
 def _grid_cell(point: Tuple[float, float]) -> Tuple[float, float]:
-    """Both strategies' slower-branch crossing times at one (p0, beta0) point.
+    """Both strategies' slower-branch crossing times at one (p0, beta0) point,
+    capped at the paper's 4685-epoch ejection.
 
     Module-level so the grid can be fanned out to a process pool.
     """
     p0, beta0 = point
+    cap = constants.PAPER_INACTIVE_EJECTION_EPOCH
     slashing = max(
-        threshold_epoch_slashing(p0, beta0),
-        threshold_epoch_slashing(1.0 - p0, beta0),
+        threshold_epoch_slashing(p0, beta0, cap),
+        threshold_epoch_slashing(1.0 - p0, beta0, cap),
     )
     non_slashing = max(
-        threshold_epoch_non_slashing(p0, beta0),
-        threshold_epoch_non_slashing(1.0 - p0, beta0),
+        threshold_epoch_non_slashing(p0, beta0, cap),
+        threshold_epoch_non_slashing(1.0 - p0, beta0, cap),
     )
     return slashing, non_slashing
 

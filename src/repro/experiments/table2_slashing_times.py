@@ -10,10 +10,10 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Dict, List, Optional, Sequence
 
+from repro import constants
 from repro.analysis.finalization_time import (
     ByzantineStrategy,
     epochs_to_conflicting_finalization,
-    threshold_epoch_slashing,
 )
 from repro.analysis.partition_scenarios import run_slashable_byzantine_scenario
 from repro.core.trials import PerTaskWorker, plan_task_chunks, run_tasks
@@ -109,7 +109,9 @@ def run(
     propagation.
     """
     analytical = {
-        beta0: epochs_to_conflicting_finalization(ByzantineStrategy.SLASHING, p0, beta0)
+        beta0: epochs_to_conflicting_finalization(
+            ByzantineStrategy.SLASHING, p0, beta0, constants.PAPER_INACTIVE_EJECTION_EPOCH
+        )
         for beta0 in beta0_values
     }
     simulated: Dict[float, Optional[int]] = {}

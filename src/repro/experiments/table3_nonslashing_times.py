@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Dict, List, Optional, Sequence
 
+from repro import constants
 from repro.analysis.finalization_time import (
     ByzantineStrategy,
     epochs_to_conflicting_finalization,
@@ -102,7 +103,7 @@ def run(
     """
     analytical = {
         beta0: epochs_to_conflicting_finalization(
-            ByzantineStrategy.NON_SLASHING, p0, beta0
+            ByzantineStrategy.NON_SLASHING, p0, beta0, constants.PAPER_INACTIVE_EJECTION_EPOCH
         )
         for beta0 in beta0_values
     }

@@ -1,17 +1,20 @@
 """Continuous stake functions during an inactivity leak (Section 4.3).
 
 The paper models the stake of a validator as a continuous, differentiable
-function satisfying ``s'(t) = -I(t) * s(t) / 2**26`` (Equation 3) and
+function satisfying ``s'(t) = -I(t) * s(t) / quotient`` (Equation 3) and
 derives, for the three reference behaviours:
 
 * active validators:      ``s(t) = s0``
 * semi-active validators: ``s(t) = s0 * exp(-3 t^2 / 2**28)``
 * inactive validators:    ``s(t) = s0 * exp(-t^2 / 2**25)``
 
-This module exposes those closed forms, their inactivity-score
-counterparts, and the ejection-crossing times, together with a generic
-integrator for arbitrary inactivity-score profiles (used by the ablation
-benchmarks comparing the continuous model to the discrete protocol rules).
+Those are the mainnet values: every function here reads the score bias, the
+score recovery, the penalty quotient and the balances from a
+:class:`~repro.spec.config.SpecConfig` (``config=None`` means mainnet), so
+the closed forms follow the same parameters as the spec recurrence.  The
+module exposes the stakes, their inactivity-score counterparts, the
+ejection-crossing times and a generic integrator for arbitrary
+inactivity-score profiles.
 """
 
 from __future__ import annotations
@@ -23,8 +26,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from repro import constants
-from repro.spec.config import SpecConfig
+from repro.spec.config import DEFAULT_CONFIG, SpecConfig
 
 
 class Behavior(str, Enum):
@@ -38,79 +40,76 @@ class Behavior(str, Enum):
 # ----------------------------------------------------------------------
 # Inactivity-score profiles (Section 4.3, bullet list)
 # ----------------------------------------------------------------------
-def inactivity_score(behavior: Behavior, t: float) -> float:
+def inactivity_score(
+    behavior: Behavior, t: float, config: Optional[SpecConfig] = None
+) -> float:
     """Average inactivity score at epoch ``t`` for the given behaviour.
 
-    Active: I(t) = 0.  Semi-active: I(t) = 3t/2.  Inactive: I(t) = 4t.
+    Active: I(t) = 0.  Inactive: I(t) = bias * t.  Semi-active, which gains
+    the bias and loses the recovery on alternate epochs:
+    I(t) = max(0, (bias - recovery) / 2) * t.  On mainnet (bias 4,
+    recovery 1) these are 4t and 3t/2.
     """
     if t < 0:
         raise ValueError("t must be non-negative")
+    cfg = config or DEFAULT_CONFIG
     if behavior is Behavior.ACTIVE:
         return 0.0
     if behavior is Behavior.SEMI_ACTIVE:
-        return 1.5 * t
-    return 4.0 * t
+        rate = (cfg.inactivity_score_bias - cfg.inactivity_score_recovery) / 2.0
+        return max(0.0, rate) * t
+    return cfg.inactivity_score_bias * t
 
 
 # ----------------------------------------------------------------------
 # Stake closed forms
 # ----------------------------------------------------------------------
-def active_stake(t: float, s0: float = constants.MAX_EFFECTIVE_BALANCE_ETH) -> float:
-    """Stake of an always-active validator: constant."""
+def stake_decay_exponent(behavior: Behavior, config: Optional[SpecConfig] = None) -> float:
+    """Coefficient ``c`` such that ``s(t) = s0 * exp(-c * t^2)``.
+
+    A score growing as ``rate * t`` integrates to ``c = rate / (2 * quotient)``.
+    Mainnet: active 0, semi-active 3/2**28, inactive 1/2**25.
+    """
+    cfg = config or DEFAULT_CONFIG
+    return inactivity_score(behavior, 1.0, cfg) / (2.0 * cfg.inactivity_penalty_quotient)
+
+
+def stake(
+    behavior: Behavior,
+    t: float,
+    s0: Optional[float] = None,
+    config: Optional[SpecConfig] = None,
+) -> float:
+    """Stake at epoch ``t`` for the given behaviour; ``s0`` defaults to the
+    config's maximum effective balance."""
     if t < 0:
         raise ValueError("t must be non-negative")
-    return s0
+    cfg = config or DEFAULT_CONFIG
+    initial = cfg.max_effective_balance if s0 is None else s0
+    if behavior is Behavior.ACTIVE:
+        return initial
+    return initial * math.exp(-stake_decay_exponent(behavior, cfg) * t * t)
+
+
+def active_stake(
+    t: float, s0: Optional[float] = None, config: Optional[SpecConfig] = None
+) -> float:
+    """Stake of an always-active validator: constant."""
+    return stake(Behavior.ACTIVE, t, s0, config)
 
 
 def semi_active_stake(
-    t: float,
-    s0: float = constants.MAX_EFFECTIVE_BALANCE_ETH,
-    quotient: int = constants.INACTIVITY_PENALTY_QUOTIENT,
+    t: float, s0: Optional[float] = None, config: Optional[SpecConfig] = None
 ) -> float:
-    """Stake of a semi-active validator: ``s0 * exp(-3 t^2 / (4*quotient))``.
-
-    With the mainnet quotient ``2**26`` this is the paper's
-    ``s0 * exp(-3 t^2 / 2**28)``.
-    """
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    return s0 * math.exp(-3.0 * t * t / (4.0 * quotient))
+    """Stake of a semi-active validator: ``s0 * exp(-3 t^2 / 2**28)`` on mainnet."""
+    return stake(Behavior.SEMI_ACTIVE, t, s0, config)
 
 
 def inactive_stake(
-    t: float,
-    s0: float = constants.MAX_EFFECTIVE_BALANCE_ETH,
-    quotient: int = constants.INACTIVITY_PENALTY_QUOTIENT,
+    t: float, s0: Optional[float] = None, config: Optional[SpecConfig] = None
 ) -> float:
-    """Stake of an inactive validator: ``s0 * exp(-2 t^2 / quotient)``.
-
-    With the mainnet quotient ``2**26`` this is the paper's
-    ``s0 * exp(-t^2 / 2**25)``.
-    """
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    return s0 * math.exp(-2.0 * t * t / quotient)
-
-
-def stake(behavior: Behavior, t: float, s0: float = constants.MAX_EFFECTIVE_BALANCE_ETH) -> float:
-    """Stake at epoch ``t`` for the given behaviour (dispatch helper)."""
-    if behavior is Behavior.ACTIVE:
-        return active_stake(t, s0)
-    if behavior is Behavior.SEMI_ACTIVE:
-        return semi_active_stake(t, s0)
-    return inactive_stake(t, s0)
-
-
-def stake_decay_exponent(behavior: Behavior) -> float:
-    """Coefficient ``c`` such that ``s(t) = s0 * exp(-c * t^2)``.
-
-    Active: 0.  Semi-active: 3/2**28.  Inactive: 1/2**25 (mainnet constants).
-    """
-    if behavior is Behavior.ACTIVE:
-        return 0.0
-    if behavior is Behavior.SEMI_ACTIVE:
-        return 3.0 / 2 ** 28
-    return 1.0 / 2 ** 25
+    """Stake of an inactive validator: ``s0 * exp(-t^2 / 2**25)`` on mainnet."""
+    return stake(Behavior.INACTIVE, t, s0, config)
 
 
 # ----------------------------------------------------------------------
@@ -118,23 +117,25 @@ def stake_decay_exponent(behavior: Behavior) -> float:
 # ----------------------------------------------------------------------
 def continuous_ejection_epoch(
     behavior: Behavior,
-    s0: float = constants.MAX_EFFECTIVE_BALANCE_ETH,
-    ejection_balance: float = constants.EJECTION_BALANCE_ETH,
+    s0: Optional[float] = None,
+    config: Optional[SpecConfig] = None,
 ) -> Optional[float]:
     """Epoch at which the continuous stake function crosses the ejection balance.
 
-    Returns ``None`` for active validators (never ejected).  For the mainnet
-    constants this evaluates to roughly 4661 epochs (inactive) and 7611
-    epochs (semi-active); the paper reports 4685 and 7652 from its own
-    numerical evaluation — see the calibration note at the inactive
+    Returns ``None`` for a behaviour whose stake never decays (active
+    validators; semi-active ones when the recovery offsets the bias).  For
+    the mainnet constants this evaluates to roughly 4661 epochs (inactive)
+    and 7611 epochs (semi-active); the paper reports 4685 and 7652 from its
+    own numerical evaluation — see the calibration note at the inactive
     ejection-epoch row of the paper-numbers ledger,
     ``tests/test_paper_numbers.py``.
     """
-    if behavior is Behavior.ACTIVE:
+    cfg = config or DEFAULT_CONFIG
+    coefficient = stake_decay_exponent(behavior, cfg)
+    if coefficient <= 0.0:
         return None
-    coefficient = stake_decay_exponent(behavior)
-    ratio = math.log(s0 / ejection_balance)
-    return math.sqrt(ratio / coefficient)
+    initial = cfg.max_effective_balance if s0 is None else s0
+    return math.sqrt(math.log(initial / cfg.ejection_balance) / coefficient)
 
 
 @dataclass(frozen=True)
@@ -159,8 +160,8 @@ def sample_trajectory(
     behavior: Behavior,
     max_epoch: int,
     step: int = 1,
-    s0: float = constants.MAX_EFFECTIVE_BALANCE_ETH,
-    ejection_balance: float = constants.EJECTION_BALANCE_ETH,
+    s0: Optional[float] = None,
+    config: Optional[SpecConfig] = None,
     freeze_after_ejection: bool = True,
 ) -> StakeTrajectory:
     """Sample the continuous stake function on ``range(0, max_epoch + 1, step)``.
@@ -173,14 +174,14 @@ def sample_trajectory(
         raise ValueError("max_epoch must be non-negative")
     if step <= 0:
         raise ValueError("step must be positive")
-    ejection = continuous_ejection_epoch(behavior, s0, ejection_balance)
+    ejection = continuous_ejection_epoch(behavior, s0, config)
     epochs = list(range(0, max_epoch + 1, step))
     stakes: List[float] = []
     for epoch in epochs:
         if freeze_after_ejection and ejection is not None and epoch >= ejection:
-            stakes.append(stake(behavior, ejection, s0))
+            stakes.append(stake(behavior, ejection, s0, config))
         else:
-            stakes.append(stake(behavior, float(epoch), s0))
+            stakes.append(stake(behavior, float(epoch), s0, config))
     return StakeTrajectory(
         behavior=behavior,
         epochs=epochs,
@@ -195,11 +196,12 @@ def sample_trajectory(
 def integrate_stake(
     score_profile: Callable[[float], float],
     max_epoch: int,
-    s0: float = constants.MAX_EFFECTIVE_BALANCE_ETH,
-    quotient: int = constants.INACTIVITY_PENALTY_QUOTIENT,
+    s0: Optional[float] = None,
+    config: Optional[SpecConfig] = None,
     samples_per_epoch: int = 4,
 ) -> List[float]:
-    """Numerically integrate ``s'(t) = -I(t) s(t) / quotient`` (Equation 3).
+    """Numerically integrate ``s'(t) = -I(t) s(t) / quotient`` (Equation 3),
+    with the config's penalty quotient.
 
     ``score_profile`` maps an epoch (float) to the inactivity score.  The
     exact solution is ``s(t) = s0 * exp(-(1/quotient) * \\int_0^t I(u) du)``;
@@ -209,12 +211,14 @@ def integrate_stake(
     """
     if max_epoch < 0:
         raise ValueError("max_epoch must be non-negative")
+    cfg = config or DEFAULT_CONFIG
+    initial = cfg.max_effective_balance if s0 is None else s0
     grid = np.linspace(0.0, max_epoch, max_epoch * samples_per_epoch + 1)
     scores = np.array([score_profile(float(u)) for u in grid])
     # Cumulative integral of the score.
     cumulative = np.concatenate(
         ([0.0], np.cumsum((scores[1:] + scores[:-1]) / 2.0 * np.diff(grid)))
     )
-    stakes_on_grid = s0 * np.exp(-cumulative / quotient)
+    stakes_on_grid = initial * np.exp(-cumulative / cfg.inactivity_penalty_quotient)
     epochs = np.arange(0, max_epoch + 1)
     return list(np.interp(epochs, grid, stakes_on_grid))

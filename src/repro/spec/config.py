@@ -5,11 +5,17 @@ analysis touches.  The defaults reproduce the mainnet values used in the
 paper; the class methods provide scaled-down presets that keep the same
 *ratios* (penalty quotient per epoch, ejection fraction) so short unit
 tests exercise the identical code paths at a fraction of the horizon.
+
+It is the one parameter object of every layer: the spec's stake
+recurrence, the epoch-level ledgers, the slot simulator and the paper's
+closed forms (:mod:`repro.leak.stake`, :mod:`repro.leak.ratios`,
+:mod:`repro.analysis.finalization_time`, :mod:`repro.analysis.threshold`)
+all read their leak constants from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict
 
 from repro import constants
@@ -61,6 +67,13 @@ class SpecConfig:
             )
         if self.inactivity_penalty_quotient <= 0:
             raise ValueError("inactivity_penalty_quotient must be positive")
+        if self.inactivity_score_bias <= 0:
+            raise ValueError("inactivity_score_bias must be positive")
+        if self.inactivity_score_recovery < 0:
+            raise ValueError("inactivity_score_recovery must be non-negative")
+        numerator, denominator = self.supermajority_numerator, self.supermajority_denominator
+        if not (0 < numerator < denominator and 2 * numerator >= denominator):
+            raise ValueError("the supermajority must lie in [1/2, 1)")
         if self.min_epochs_to_inactivity_penalty < 1:
             raise ValueError("min_epochs_to_inactivity_penalty must be >= 1")
 

@@ -13,6 +13,7 @@ from repro.analysis.finalization_time import (
     threshold_epoch_non_slashing,
     threshold_epoch_slashing,
 )
+from repro.constants import PAPER_INACTIVE_EJECTION_EPOCH as PAPER_EJECTION
 from repro.leak.ratios import (
     active_ratio_with_semi_active_byzantine,
     active_ratio_with_slashing_byzantine,
@@ -21,7 +22,7 @@ from repro.leak.ratios import (
 
 class TestEquation6:
     def test_even_split_capped_at_ejection(self):
-        assert threshold_epoch_honest_only(0.5) == pytest.approx(4685.0)
+        assert threshold_epoch_honest_only(0.5, PAPER_EJECTION) == pytest.approx(4685.0)
 
     def test_closed_form_for_p06(self):
         expected = math.sqrt(2 ** 25 * (math.log(2 * 0.4) - math.log(0.6)))
@@ -36,11 +37,39 @@ class TestEquation6:
         assert threshold_epoch_honest_only(0.58) < threshold_epoch_honest_only(0.55)
 
     def test_zero_p0_hits_the_cap(self):
-        assert threshold_epoch_honest_only(0.0) == pytest.approx(4685.0)
+        assert threshold_epoch_honest_only(0.0, PAPER_EJECTION) == pytest.approx(4685.0)
 
     def test_invalid_p0(self):
         with pytest.raises(ValueError):
             threshold_epoch_honest_only(1.5)
+
+
+class TestEmptyBranch:
+    """A branch with no active stake recovers only at the ejection cap; a
+    branch holding all of it needs no epoch (every strategy, beta0 = 0)."""
+
+    STRATEGIES = (
+        ByzantineStrategy.NONE,
+        ByzantineStrategy.SLASHING,
+        ByzantineStrategy.NON_SLASHING,
+    )
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("p0", [0.0, 1.0])
+    def test_branch_epochs_at_the_extremes(self, strategy, p0):
+        result = conflicting_finalization_time(strategy, p0=p0, beta0=0.0, ejection_cap=100.0)
+        empty, full = (
+            (result.branch_1_epoch, result.branch_2_epoch)
+            if p0 == 0.0
+            else (result.branch_2_epoch, result.branch_1_epoch)
+        )
+        assert empty == 100.0
+        assert full == 0.0
+        assert result.threshold_epoch == 100.0
+
+    def test_slashing_form_at_zero_beta_is_equation6(self):
+        assert threshold_epoch_slashing(0.0, 0.0) == threshold_epoch_honest_only(0.0)
+        assert threshold_epoch_slashing(0.55, 0.0) == threshold_epoch_honest_only(0.55)
 
 
 class TestEquation9Table2:
@@ -49,7 +78,9 @@ class TestEquation9Table2:
     @pytest.mark.parametrize("beta0,expected", sorted(PAPER.items()))
     def test_table2_rows_exact(self, beta0, expected):
         assert (
-            epochs_to_conflicting_finalization(ByzantineStrategy.SLASHING, 0.5, beta0)
+            epochs_to_conflicting_finalization(
+                ByzantineStrategy.SLASHING, 0.5, beta0, PAPER_EJECTION
+            )
             == expected
         )
 
@@ -78,7 +109,9 @@ class TestEquation10Table3:
     @pytest.mark.parametrize("beta0,expected", sorted(PAPER.items()))
     def test_table3_exact_rows(self, beta0, expected):
         assert (
-            epochs_to_conflicting_finalization(ByzantineStrategy.NON_SLASHING, 0.5, beta0)
+            epochs_to_conflicting_finalization(
+                ByzantineStrategy.NON_SLASHING, 0.5, beta0, PAPER_EJECTION
+            )
             == expected
         )
 
@@ -112,7 +145,9 @@ class TestConflictingFinalization:
         assert result.branch_1_epoch != result.branch_2_epoch
 
     def test_finalization_is_one_epoch_after_threshold(self):
-        result = conflicting_finalization_time(ByzantineStrategy.NONE, p0=0.5)
+        result = conflicting_finalization_time(
+            ByzantineStrategy.NONE, p0=0.5, ejection_cap=PAPER_EJECTION
+        )
         assert result.finalization_epoch == result.threshold_epoch + 1
         assert result.finalization_epoch == pytest.approx(4686.0)
 

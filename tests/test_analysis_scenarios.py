@@ -11,7 +11,10 @@ from repro.analysis.partition_scenarios import (
     run_slashable_byzantine_scenario,
     run_threshold_exceeding_scenario,
 )
+from repro.analysis.finalization_time import ByzantineStrategy, conflicting_finalization_time
 from repro.leak.groups import BranchView
+from repro.leak.stake import Behavior, continuous_ejection_epoch
+from repro.spec.config import SpecConfig
 
 
 def view(epoch: int, ratio: float = 0.0, finalized: bool = False) -> BranchView:
@@ -35,7 +38,10 @@ class TestAllHonestScenario:
         # Discrete simulation lands within 2% of the paper's 4686 bound.
         assert abs(outcome.conflicting_finalization_epoch - 4686) / 4686 < 0.02
         assert outcome.outcome == "2 finalized branches"
-        assert outcome.analytical_epoch == pytest.approx(4686.0)
+        # The closed form caps at the mainnet config's own ejection epoch.
+        derived = continuous_ejection_epoch(Behavior.INACTIVE) + 1
+        assert outcome.analytical_epoch == pytest.approx(derived)
+        assert abs(outcome.conflicting_finalization_epoch - derived) < 1
 
     def test_uneven_split_slowest_branch_decides(self):
         outcome = run_all_honest_scenario(p0=0.6, max_epochs=5000)
@@ -131,3 +137,48 @@ class TestRunAllScenarios:
         assert outcomes[2].outcome == "2 finalized branches"
         assert outcomes[3].outcome == "beta > 1/3"
         assert outcomes[4].outcome == "beta > 1/3 probably"
+
+
+class TestScenarioAnalyticsFollowTheirConfig:
+    """Under ``SpecConfig.minimal()`` (quotient 2**14) each scenario reports
+    the closed form at that config, next to its own simulation."""
+
+    MINIMAL = SpecConfig.minimal()
+
+    def _check(self, outcome, strategy, tolerance):
+        closed_form = conflicting_finalization_time(
+            strategy, outcome.p0, outcome.beta0, config=self.MINIMAL
+        ).finalization_epoch
+        assert outcome.analytical_epoch == closed_form
+        assert abs(outcome.conflicting_finalization_epoch - closed_form) <= tolerance
+
+    def test_honest(self):
+        outcome = run_all_honest_scenario(p0=0.5, max_epochs=300, config=self.MINIMAL)
+        assert outcome.conflicting_finalization_epoch == 74
+        assert outcome.analytical_epoch == pytest.approx(73.82, abs=0.01)
+        self._check(outcome, ByzantineStrategy.NONE, 1)
+
+    @pytest.mark.parametrize(
+        "beta0, simulated, closed_form", [(0.1, 64, 64.52), (0.2, 49, 49.55), (0.33, 9, 8.83)]
+    )
+    def test_slashable(self, beta0, simulated, closed_form):
+        outcome = run_slashable_byzantine_scenario(
+            beta0=beta0, p0=0.5, max_epochs=300, config=self.MINIMAL
+        )
+        assert outcome.conflicting_finalization_epoch == simulated
+        assert outcome.analytical_epoch == pytest.approx(closed_form, abs=0.01)
+        self._check(outcome, ByzantineStrategy.SLASHING, 1)
+
+    @pytest.mark.parametrize(
+        "beta0, simulated, closed_form", [(0.1, 69, 66.61), (0.2, 56, 52.75), (0.33, 13, 9.68)]
+    )
+    def test_non_slashable(self, beta0, simulated, closed_form):
+        # Semi-active scores move +4/-1 on alternate epochs while Eq. 10
+        # averages them to 1.5 per epoch; at a ~60-epoch horizon that shows
+        # as a few epochs, hence the wider bound.
+        outcome = run_non_slashable_byzantine_scenario(
+            beta0=beta0, p0=0.5, max_epochs=300, config=self.MINIMAL
+        )
+        assert outcome.conflicting_finalization_epoch == simulated
+        assert outcome.analytical_epoch == pytest.approx(closed_form, abs=0.01)
+        self._check(outcome, ByzantineStrategy.NON_SLASHING, 4)

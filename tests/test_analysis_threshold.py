@@ -10,6 +10,7 @@ from repro.analysis.threshold import (
     crossing_epoch,
     exceeds_threshold,
 )
+from repro.constants import PAPER_INACTIVE_EJECTION_EPOCH as PAPER_EJECTION
 
 
 class TestBetaMax:
@@ -39,12 +40,12 @@ class TestCrossingEpoch:
     def test_crossing_for_feasible_beta_happens_at_ejection(self):
         # Before the ejection the honest inactive stake, although eroded, still
         # dilutes the Byzantine share; the crossing comes from the ejection jump.
-        epoch = crossing_epoch(0.5, 0.3)
+        epoch = crossing_epoch(0.5, 0.3, ejection_epoch=PAPER_EJECTION)
         assert epoch == pytest.approx(4685.0)
 
     def test_crossing_epoch_at_ejection_for_marginal_beta(self):
-        critical = critical_beta0(0.5)
-        epoch = crossing_epoch(0.5, critical + 1e-4)
+        critical = critical_beta0(0.5, PAPER_EJECTION)
+        epoch = crossing_epoch(0.5, critical + 1e-4, ejection_epoch=PAPER_EJECTION)
         assert epoch == pytest.approx(4685.0)
 
     def test_analyse_pair_bundle(self):

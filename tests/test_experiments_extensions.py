@@ -9,7 +9,7 @@ from repro.experiments import (
     recovery_tail,
     registry,
 )
-from repro.leak.generalized import PenaltyMechanism
+from repro.spec.config import SpecConfig
 
 
 class TestFigure10MonteCarlo:
@@ -62,7 +62,7 @@ class TestGeneralizedMechanismExperiment:
 
     def test_custom_mechanism_dict(self):
         result = generalized_mechanism.run(
-            mechanisms={"custom": PenaltyMechanism.with_quotient(float(2 ** 22))}
+            mechanisms={"custom": SpecConfig(inactivity_penalty_quotient=2 ** 22)}
         )
         assert len(result.rows()) == 1
         assert result.rows()[0]["penalty_quotient"] == float(2 ** 22)

@@ -1,12 +1,17 @@
-"""Tests for the generalized penalty mechanism and the post-leak recovery model."""
+"""Tests for the closed forms under ``SpecConfig`` overrides (penalty
+mechanisms other than Ethereum's) and for the post-leak recovery model."""
 
 import math
 
 import pytest
 
-from repro import constants
-from repro.analysis.finalization_time import threshold_epoch_honest_only
-from repro.leak.generalized import PenaltyMechanism
+from repro.analysis.finalization_time import (
+    ByzantineStrategy,
+    conflicting_finalization_time,
+    threshold_epoch_honest_only,
+)
+from repro.analysis.threshold import critical_beta0
+from repro.leak.ratios import max_byzantine_proportion
 from repro.leak.recovery import (
     epochs_to_clear_score,
     leak_exit_score,
@@ -16,93 +21,99 @@ from repro.leak.recovery import (
 from repro.leak.stake import Behavior, continuous_ejection_epoch, inactive_stake, semi_active_stake
 from repro.spec.config import SpecConfig
 
+MAINNET = SpecConfig()
 
-class TestPenaltyMechanismEthereum:
-    def test_ethereum_preset_matches_paper_formulas(self):
-        mechanism = PenaltyMechanism.ethereum()
+
+def _ejection(config: SpecConfig) -> float:
+    return continuous_ejection_epoch(Behavior.INACTIVE, config=config)
+
+
+def _safety_bound(config: SpecConfig, p0: float = 0.5) -> float:
+    return conflicting_finalization_time(
+        ByzantineStrategy.NONE, p0, config=config
+    ).finalization_epoch
+
+
+class TestClosedFormsOnMainnetConfig:
+    def test_mainnet_config_matches_paper_formulas(self):
         for t in (500.0, 2000.0, 4000.0):
-            assert mechanism.inactive_stake(t) == pytest.approx(inactive_stake(t))
-            assert mechanism.semi_active_stake(t) == pytest.approx(semi_active_stake(t))
+            assert inactive_stake(t, config=MAINNET) == pytest.approx(
+                32.0 * math.exp(-t * t / 2 ** 25)
+            )
+            assert semi_active_stake(t, config=MAINNET) == pytest.approx(
+                32.0 * math.exp(-3 * t * t / 2 ** 28)
+            )
 
     def test_ejection_epochs_match_continuous_model(self):
-        mechanism = PenaltyMechanism.ethereum()
-        assert mechanism.ejection_epoch_inactive() == pytest.approx(
-            continuous_ejection_epoch(Behavior.INACTIVE)
-        )
-        assert mechanism.ejection_epoch_semi_active() == pytest.approx(
-            continuous_ejection_epoch(Behavior.SEMI_ACTIVE)
-        )
+        assert _ejection(MAINNET) == pytest.approx(math.sqrt(2 ** 25 * math.log(32 / 16.75)))
+        assert continuous_ejection_epoch(
+            Behavior.SEMI_ACTIVE, config=MAINNET
+        ) == pytest.approx(math.sqrt(2 ** 28 / 3 * math.log(32 / 16.75)))
 
     def test_honest_threshold_epoch_matches_equation6_below_cap(self):
-        mechanism = PenaltyMechanism.ethereum()
-        # Below the ejection cap the two formulas coincide (the library's
-        # Equation 6 uses the paper's 4685 cap; p0=0.6 crosses well before).
-        assert mechanism.honest_threshold_epoch(0.6) == pytest.approx(
-            threshold_epoch_honest_only(0.6), rel=1e-9
+        # p0 = 0.6 crosses well before the ejection cap.
+        assert threshold_epoch_honest_only(0.6, config=MAINNET) == pytest.approx(
+            math.sqrt(2 ** 25 * (math.log(2 * 0.4) - math.log(0.6))), rel=1e-9
         )
 
     def test_safety_bound_shape(self):
-        mechanism = PenaltyMechanism.ethereum()
-        assert mechanism.safety_bound_epochs(0.5) == pytest.approx(
-            mechanism.ejection_epoch_inactive() + 1.0
-        )
+        assert _safety_bound(MAINNET) == pytest.approx(_ejection(MAINNET) + 1.0)
 
     def test_critical_beta0_close_to_paper(self):
-        mechanism = PenaltyMechanism.ethereum()
         # Using the derived ejection epoch (4661) instead of the paper's 4685
         # moves the critical proportion by well under 1%.
-        assert mechanism.critical_beta0(0.5) == pytest.approx(0.2421, abs=2e-3)
+        assert critical_beta0(0.5, config=MAINNET) == pytest.approx(0.2421, abs=2e-3)
 
     def test_max_byzantine_proportion_monotone(self):
-        mechanism = PenaltyMechanism.ethereum()
-        values = [mechanism.max_byzantine_proportion(0.5, b) for b in (0.1, 0.2, 0.3)]
+        values = [max_byzantine_proportion(0.5, b, config=MAINNET) for b in (0.1, 0.2, 0.3)]
         assert values == sorted(values)
 
 
-class TestPenaltyMechanismVariants:
+class TestClosedFormsUnderConfigOverrides:
     def test_faster_leak_shortens_every_timescale(self):
-        ethereum = PenaltyMechanism.ethereum()
-        aggressive = PenaltyMechanism.aggressive()
-        assert aggressive.ejection_epoch_inactive() < ethereum.ejection_epoch_inactive()
-        assert aggressive.safety_bound_epochs(0.5) < ethereum.safety_bound_epochs(0.5)
-        assert aggressive.honest_threshold_epoch(0.6) < ethereum.honest_threshold_epoch(0.6)
+        aggressive = SpecConfig(inactivity_penalty_quotient=2 ** 20)
+        assert _ejection(aggressive) < _ejection(MAINNET)
+        assert _safety_bound(aggressive) < _safety_bound(MAINNET)
+        assert threshold_epoch_honest_only(0.6, config=aggressive) < threshold_epoch_honest_only(
+            0.6, config=MAINNET
+        )
 
     def test_quotient_scaling_is_sqrt(self):
         # The ejection epoch scales as sqrt(quotient): four times the quotient
         # doubles the time scale.
-        base = PenaltyMechanism.with_quotient(float(2 ** 24))
-        slower = PenaltyMechanism.with_quotient(float(2 ** 26))
-        assert slower.ejection_epoch_inactive() == pytest.approx(
-            2.0 * base.ejection_epoch_inactive()
-        )
+        base = SpecConfig(inactivity_penalty_quotient=2 ** 24)
+        slower = SpecConfig(inactivity_penalty_quotient=2 ** 26)
+        assert _ejection(slower) == pytest.approx(2.0 * _ejection(base))
 
     def test_critical_beta0_insensitive_to_quotient(self):
         # The critical proportion depends on the *ratio* of semi-active to
         # inactive decay at the ejection time, which is quotient-independent.
-        fast = PenaltyMechanism.with_quotient(float(2 ** 20)).critical_beta0(0.5)
-        slow = PenaltyMechanism.with_quotient(float(2 ** 28)).critical_beta0(0.5)
+        fast = critical_beta0(0.5, config=SpecConfig(inactivity_penalty_quotient=2 ** 20))
+        slow = critical_beta0(0.5, config=SpecConfig(inactivity_penalty_quotient=2 ** 28))
         assert fast == pytest.approx(slow, rel=1e-9)
 
     def test_lenient_mechanism_semi_active_decays_slower(self):
-        lenient = PenaltyMechanism.lenient()
-        ethereum = PenaltyMechanism.ethereum()
-        assert lenient.semi_active_stake(4000.0) > ethereum.semi_active_stake(4000.0)
+        lenient = SpecConfig(inactivity_penalty_quotient=2 ** 28, inactivity_score_bias=2)
+        assert semi_active_stake(4000.0, config=lenient) > semi_active_stake(
+            4000.0, config=MAINNET
+        )
 
     def test_supermajority_parameter(self):
-        half = PenaltyMechanism(supermajority=0.5)
-        ethereum = PenaltyMechanism.ethereum()
+        half = SpecConfig(supermajority_numerator=1, supermajority_denominator=2)
         # A lower quorum is regained earlier.
-        assert half.honest_threshold_epoch(0.4) < ethereum.honest_threshold_epoch(0.4)
+        assert threshold_epoch_honest_only(0.4, config=half) < threshold_epoch_honest_only(
+            0.4, config=MAINNET
+        )
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            PenaltyMechanism(score_bias=0.0)
+            SpecConfig(inactivity_score_bias=0)
         with pytest.raises(ValueError):
-            PenaltyMechanism(ejection_fraction=1.5)
+            SpecConfig(ejection_balance=48.0)
         with pytest.raises(ValueError):
-            PenaltyMechanism(supermajority=0.3)
+            SpecConfig(supermajority_numerator=3, supermajority_denominator=10)
         with pytest.raises(ValueError):
-            PenaltyMechanism.ethereum().honest_threshold_epoch(1.5)
+            threshold_epoch_honest_only(1.5, config=MAINNET)
 
 
 class TestRecovery:

@@ -110,7 +110,9 @@ class TestEquation13:
     def test_beta_max_formula(self):
         decay = math.exp(-3 * 4685 ** 2 / 2 ** 28)
         expected = 0.25 * decay / (0.5 * 0.75 + 0.25 * decay)
-        assert max_byzantine_proportion(0.5, 0.25) == pytest.approx(expected)
+        assert max_byzantine_proportion(
+            0.5, 0.25, constants.PAPER_INACTIVE_EJECTION_EPOCH
+        ) == pytest.approx(expected)
 
     def test_beta_max_exceeds_third_above_critical(self):
         critical = min_beta0_to_exceed_threshold(0.5)

@@ -24,6 +24,7 @@ import repro
 from repro.analysis import speedup_over_honest_baseline
 from repro.analysis.bouncing import BouncingStakeDistribution
 from repro.analysis.finalization_time import ByzantineStrategy
+from repro.constants import PAPER_INACTIVE_EJECTION_EPOCH
 from repro.experiments import registry
 from repro.leak.stake import Behavior, continuous_ejection_epoch, semi_active_stake
 from repro.spec.inactivity import discrete_ejection_epoch
@@ -80,9 +81,10 @@ class Row:
     #: rounded in prose or the layer derives its own ejection epoch (see the
     #: calibration note).
     expected: Optional[float] = None
-    #: The closed forms cap every crossing time at the paper's 4685-epoch
-    #: ejection (``constants.PAPER_INACTIVE_EJECTION_EPOCH``), so this row
-    #: equals the paper by construction: the paper constant is an input.
+    #: Every layer of this row caps its crossing times at the paper's
+    #: 4685-epoch ejection (``constants.PAPER_INACTIVE_EJECTION_EPOCH``,
+    #: passed explicitly), so the row equals the paper by construction: the
+    #: paper constant is an input.
     paper_input: bool = False
 
 
@@ -127,15 +129,21 @@ def _ejection_layers(behavior: str) -> Dict[str, Layer]:
     }
 
 
-def _crossing_layers(experiment_id: str, strategy: str, beta0: float) -> Dict[str, Layer]:
+def _crossing_layers(
+    experiment_id: str, strategy: str, beta0: float, ejection_cap: Optional[float] = None
+) -> Dict[str, Layer]:
     return {
-        CLOSED_FORM: lambda _: repro.epochs_to_conflicting_finalization(strategy, 0.5, beta0),
+        CLOSED_FORM: lambda _: repro.epochs_to_conflicting_finalization(
+            strategy, 0.5, beta0, ejection_cap
+        ),
         experiment_id: _table(experiment_id, "epochs_analytical", beta0),
     }
 
 
-def _honest_only():
-    return repro.conflicting_finalization_time(ByzantineStrategy.NONE, p0=0.5)
+def _honest_only_at_paper_ejection():
+    return repro.conflicting_finalization_time(
+        ByzantineStrategy.NONE, p0=0.5, ejection_cap=PAPER_INACTIVE_EJECTION_EPOCH
+    )
 
 
 def _bouncing(beta0: float, p0: float = 0.5) -> repro.BouncingAttackModel:
@@ -163,10 +171,13 @@ LEDGER = (
     #   - discrete ledger (``LeakSimulation``), Table 2 at beta0 = 0: 4660;
     #   - discrete ledger, Safety bound at p0 = 0.5: 4661.
     # So the gap is not discretization; the paper does not say how it
-    # evaluated 4685 and 7652.  The closed forms of analysis/finalization_time.py
-    # cap every crossing time at the paper's 4685, so the Table 2/3 rows at
-    # beta0 = 0 and the 4685 -> 4686 Safety bound take the paper constant as
-    # input (``paper_input``).  The independent values are the separate
+    # evaluated 4685 and 7652.  Every closed form reads its constants from a
+    # ``SpecConfig`` and caps crossing times at that config's continuous
+    # inactive ejection (4660.58 on mainnet).  The paper's 4685 is an explicit
+    # input only in the rows marked ``paper_input``: the Table 2/3 rows at
+    # beta0 = 0 and the 4685 -> 4686 Safety bound, in their closed-form layer
+    # and in the experiments that reproduce them (safety-bound, fig3, table2,
+    # table3, fig6, sweep-grid).  The independent values are the separate
     # discrete-ledger rows below, at their own tolerances.
     Row(
         "inactive validator ejection epoch", 4685, "§4.3, Fig. 2",
@@ -180,7 +191,7 @@ LEDGER = (
     Row(
         "honest-only threshold epoch, p0=0.5", 4685, "§5.1, Eq. 6, Fig. 3",
         {
-            CLOSED_FORM: lambda _: _honest_only().threshold_epoch,
+            CLOSED_FORM: lambda _: _honest_only_at_paper_ejection().threshold_epoch,
             "safety-bound": lambda r: r["safety-bound"].analytical_threshold[0.5],
             "fig3": lambda r: r["fig3"].threshold_epochs[0.5],
         },
@@ -189,7 +200,7 @@ LEDGER = (
     Row(
         "Safety bound: conflicting finalization epoch", 4686, "§5.1",
         {
-            CLOSED_FORM: lambda _: _honest_only().finalization_epoch,
+            CLOSED_FORM: lambda _: _honest_only_at_paper_ejection().finalization_epoch,
             "safety-bound": lambda r: r["safety-bound"].worst_case_bound(),
         },
         Tol(), paper_input=True,
@@ -211,7 +222,7 @@ LEDGER = (
     Row(
         "Table 2 epochs, beta0=0.0", TABLE2[0.0], "§5.2.1, Eq. 9, Table 2, Fig. 6",
         {
-            **_crossing_layers("table2", SLASHING, 0.0),
+            **_crossing_layers("table2", SLASHING, 0.0, PAPER_INACTIVE_EJECTION_EPOCH),
             "fig6": lambda r: r["fig6"].slashing_epochs[0],
             "sweep-grid": _sweep("slashing_grid", 0.0),
         },
@@ -247,7 +258,7 @@ LEDGER = (
     Row(
         "Table 3 epochs, beta0=0.0", TABLE3[0.0], "§5.2.2, Eq. 10, Table 3, Fig. 6",
         {
-            **_crossing_layers("table3", NON_SLASHING, 0.0),
+            **_crossing_layers("table3", NON_SLASHING, 0.0, PAPER_INACTIVE_EJECTION_EPOCH),
             "fig6": lambda r: r["fig6"].non_slashing_epochs[0],
             "sweep-grid": _sweep("non_slashing_grid", 0.0),
         },
@@ -513,7 +524,7 @@ def test_safety_even_split_is_fastest(runs):
     """Section 5.1: no honest split loses Safety before the even one."""
     finalization = runs["safety-bound"].analytical_finalization
     assert finalization[0.5] <= finalization[0.4] <= finalization[0.3]
-    even = _honest_only()
+    even = repro.conflicting_finalization_time(ByzantineStrategy.NONE, p0=0.5)
     for p0 in (0.3, 0.4, 0.45, 0.6):
         other = repro.conflicting_finalization_time(ByzantineStrategy.NONE, p0=p0)
         assert other.threshold_epoch >= even.threshold_epoch - 1e-9

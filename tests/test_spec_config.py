@@ -76,3 +76,23 @@ class TestSpecConfigValidation:
     def test_rejects_zero_leak_delay(self):
         with pytest.raises(ValueError):
             SpecConfig(min_epochs_to_inactivity_penalty=0)
+
+    def test_rejects_nonpositive_score_bias(self):
+        with pytest.raises(ValueError):
+            SpecConfig(inactivity_score_bias=0)
+        with pytest.raises(ValueError):
+            SpecConfig(inactivity_score_bias=-4)
+
+    def test_rejects_negative_score_recovery(self):
+        with pytest.raises(ValueError):
+            SpecConfig(inactivity_score_recovery=-1)
+        assert SpecConfig(inactivity_score_recovery=0).inactivity_score_recovery == 0
+
+    def test_supermajority_must_lie_in_half_open_unit_interval(self):
+        half = SpecConfig(supermajority_numerator=1, supermajority_denominator=2)
+        assert half.supermajority_fraction == 0.5
+        for numerator, denominator in ((1, 3), (0, 3), (3, 3), (4, 3), (1, 0)):
+            with pytest.raises(ValueError):
+                SpecConfig(
+                    supermajority_numerator=numerator, supermajority_denominator=denominator
+                )
