@@ -30,6 +30,7 @@ import numpy as np
 from repro import constants
 from repro.analysis.distributions import BouncingStakeDistribution
 from repro.leak.stake import Behavior, continuous_ejection_epoch, semi_active_stake
+from repro.spec.config import DEFAULT_CONFIG, SpecConfig
 
 
 # ----------------------------------------------------------------------
@@ -179,12 +180,20 @@ class MarkovBounceModel:
 # ----------------------------------------------------------------------
 @dataclass
 class BouncingAttackModel:
-    """The full Section-5.3 model: bounce + leak + threshold probability."""
+    """The full Section-5.3 model: bounce + leak + threshold probability.
+
+    ``config`` (mainnet when ``None``) supplies every leak constant: the
+    honest stake law's quotient, balances and score steps, the Byzantine
+    semi-active trajectory and ejection, and the penalty rule of
+    :meth:`simulate_exceed_probability`.  ``s0`` defaults to its maximum
+    effective balance and ``window_slots`` to its bouncing window.
+    """
 
     beta0: float
     p0: float = 0.5
-    s0: float = constants.MAX_EFFECTIVE_BALANCE_ETH
-    window_slots: int = constants.BOUNCING_ATTACK_WINDOW_SLOTS
+    s0: Optional[float] = None
+    window_slots: Optional[int] = None
+    config: Optional[SpecConfig] = None
     distribution: BouncingStakeDistribution = field(init=False)
 
     def __post_init__(self) -> None:
@@ -192,7 +201,14 @@ class BouncingAttackModel:
             raise ValueError("beta0 must lie in [0, 0.5] for the bouncing model")
         if not 0.0 < self.p0 < 1.0:
             raise ValueError("p0 must lie strictly between 0 and 1")
-        self.distribution = BouncingStakeDistribution(p0=self.p0, s0=self.s0)
+        self.config = self.config or DEFAULT_CONFIG
+        if self.s0 is None:
+            self.s0 = self.config.max_effective_balance
+        if self.window_slots is None:
+            self.window_slots = self.config.bouncing_window_slots
+        self.distribution = BouncingStakeDistribution(
+            p0=self.p0, s0=self.s0, config=self.config
+        )
 
     # -- stakes -----------------------------------------------------------
     def byzantine_stake(self, t: float) -> float:
@@ -205,11 +221,11 @@ class BouncingAttackModel:
         ejection = self.byzantine_ejection_epoch()
         if t >= ejection:
             return 0.0
-        return semi_active_stake(t, self.s0)
+        return semi_active_stake(t, self.s0, self.config)
 
     def byzantine_ejection_epoch(self) -> float:
         """Epoch at which the Byzantine (semi-active) validators are ejected."""
-        ejection = continuous_ejection_epoch(Behavior.SEMI_ACTIVE, self.s0)
+        ejection = continuous_ejection_epoch(Behavior.SEMI_ACTIVE, self.s0, self.config)
         assert ejection is not None
         return ejection
 
@@ -279,19 +295,22 @@ class BouncingAttackModel:
         Byzantine semi-active stake.  This is the discrete ground truth the
         closed form approximates.
         """
+        cfg = self.config
         rng = np.random.default_rng(seed)
         active = rng.random((n_samples, t)) < self.p0
         scores = np.zeros(n_samples)
         stakes = np.full(n_samples, self.s0)
         ejected = np.zeros(n_samples, dtype=bool)
-        quotient = float(constants.INACTIVITY_PENALTY_QUOTIENT)
+        quotient = float(cfg.inactivity_penalty_quotient)
+        bias = float(cfg.inactivity_score_bias)
+        recovery = float(cfg.inactivity_score_recovery)
         for epoch in range(t):
             penalties = scores * stakes / quotient
             stakes = np.where(ejected, stakes, np.maximum(0.0, stakes - penalties))
             scores = np.where(
-                active[:, epoch], np.maximum(0.0, scores - 1.0), scores + 4.0
+                active[:, epoch], np.maximum(0.0, scores - recovery), scores + bias
             )
-            newly_ejected = (~ejected) & (stakes <= constants.EJECTION_BALANCE_ETH)
+            newly_ejected = (~ejected) & (stakes <= cfg.ejection_balance)
             stakes = np.where(newly_ejected, 0.0, stakes)
             ejected |= newly_ejected
         byzantine = self.byzantine_stake(float(t))

@@ -17,14 +17,14 @@ All of them are parameterised by ``D = 25 p0 (1-p0)`` and ``V = 3/2`` from
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy import integrate
 
-from repro import constants
 from repro.analysis.randomwalk import diffusion_coefficient, drift_per_epoch
+from repro.spec.config import DEFAULT_CONFIG, SpecConfig
 
 
 @dataclass(frozen=True)
@@ -37,27 +37,42 @@ class BouncingStakeDistribution:
         Probability for an honest validator to land on the branch under
         consideration at each epoch (the paper's ``p0``).
     s0:
-        Initial stake (32 ETH).
-    ejection_balance:
-        The ``a`` bound of Equation 20 (16.75 ETH): below it the stake
-        collapses to zero (the validator is ejected).
-    cap:
-        The ``b`` bound of Equation 20 (32 ETH): the stake cannot exceed it.
-    quotient:
-        The ``2**26`` inactivity penalty quotient.
+        Initial stake; ``None`` means the config's maximum effective
+        balance (32 ETH).
+    config:
+        The leak constants (mainnet when ``None``): the inactivity
+        penalty quotient (``2**26``), the score bias and recovery behind
+        ``V`` and ``D``, and the two bounds of Equation 20 — the ejection
+        balance ``a`` (16.75 ETH), below which the stake collapses to
+        zero, and the cap ``b`` (32 ETH), the maximum effective balance.
     """
 
     p0: float = 0.5
-    s0: float = constants.MAX_EFFECTIVE_BALANCE_ETH
-    ejection_balance: float = constants.EJECTION_BALANCE_ETH
-    cap: float = constants.MAX_EFFECTIVE_BALANCE_ETH
-    quotient: float = float(constants.INACTIVITY_PENALTY_QUOTIENT)
+    s0: Optional[float] = None
+    config: Optional[SpecConfig] = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.p0 < 1.0:
             raise ValueError("p0 must lie strictly between 0 and 1")
-        if not 0.0 < self.ejection_balance < self.cap:
-            raise ValueError("ejection_balance must lie strictly between 0 and the cap")
+        cfg = self.config or DEFAULT_CONFIG
+        object.__setattr__(self, "config", cfg)
+        if self.s0 is None:
+            object.__setattr__(self, "s0", cfg.max_effective_balance)
+
+    @property
+    def ejection_balance(self) -> float:
+        """The ``a`` bound of Equation 20: the config's ejection balance."""
+        return self.config.ejection_balance
+
+    @property
+    def cap(self) -> float:
+        """The ``b`` bound of Equation 20: the config's maximum effective balance."""
+        return self.config.max_effective_balance
+
+    @property
+    def quotient(self) -> float:
+        """The inactivity penalty quotient (``2**26`` on mainnet)."""
+        return float(self.config.inactivity_penalty_quotient)
 
     # ------------------------------------------------------------------
     # Gaussian parameters of the integrated score
@@ -65,12 +80,12 @@ class BouncingStakeDistribution:
     @property
     def diffusion(self) -> float:
         """The paper's ``D = 25 p0 (1 - p0)``."""
-        return diffusion_coefficient(self.p0)
+        return diffusion_coefficient(self.p0, self.config)
 
     @property
     def drift(self) -> float:
         """The paper's ``V = 3/2``."""
-        return drift_per_epoch(self.p0)
+        return drift_per_epoch(self.p0, self.config)
 
     def _scale(self, t: float) -> float:
         """``sqrt((4/3) D t^3)``: the erf scale of Equation 19."""

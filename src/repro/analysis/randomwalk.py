@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import constants
+from repro.spec.config import DEFAULT_CONFIG, SpecConfig
 
 #: Score increment when the validator is inactive on the branch (Equation 1).
 INACTIVE_STEP = constants.INACTIVITY_SCORE_BIAS
@@ -30,28 +31,32 @@ INACTIVE_STEP = constants.INACTIVITY_SCORE_BIAS
 ACTIVE_STEP = -constants.INACTIVITY_SCORE_RECOVERY_PER_EPOCH
 
 
-def drift_per_epoch(p0: float = 0.5) -> float:
+def drift_per_epoch(p0: float = 0.5, config: Optional[SpecConfig] = None) -> float:
     """Mean score increment per epoch, averaged over the two branches.
 
     Over two epochs the score moves by +8, +3 or −2 with the probabilities
     of Equation 15; the mean increment is +3 per two epochs, i.e. the
-    paper's ``V = 3/2`` — independent of ``p0``.
+    paper's ``V = 3/2`` — independent of ``p0``.  The steps are the
+    config's score bias and recovery (mainnet when ``config`` is ``None``).
     """
     _validate_probability(p0)
-    # On this branch: +4 with prob (1 - p0) [validator went to the other
-    # branch], -1 with prob p0.  Averaged with the complementary branch the
-    # drift is (bias - recovery) / 2 = 3/2, the paper's V.
-    return (INACTIVE_STEP + ACTIVE_STEP) / 2.0
+    cfg = config or DEFAULT_CONFIG
+    # On this branch: +bias with prob (1 - p0) [validator went to the other
+    # branch], -recovery with prob p0.  Averaged with the complementary
+    # branch the drift is (bias - recovery) / 2 = 3/2, the paper's V.
+    return (cfg.inactivity_score_bias - cfg.inactivity_score_recovery) / 2.0
 
 
-def diffusion_coefficient(p0: float = 0.5) -> float:
+def diffusion_coefficient(p0: float = 0.5, config: Optional[SpecConfig] = None) -> float:
     """The paper's diffusion coefficient ``D = 25 p0 (1 - p0)``.
 
     The 25 is ``(bias + recovery)^2 = (4 + 1)^2``: the squared gap between
-    the walk's two steps.
+    the walk's two steps, read from ``config`` (mainnet when ``None``).
     """
     _validate_probability(p0)
-    return float((INACTIVE_STEP - ACTIVE_STEP) ** 2) * p0 * (1.0 - p0)
+    cfg = config or DEFAULT_CONFIG
+    gap = cfg.inactivity_score_bias + cfg.inactivity_score_recovery
+    return float(gap ** 2) * p0 * (1.0 - p0)
 
 
 def _validate_probability(p0: float) -> None:

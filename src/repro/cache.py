@@ -83,6 +83,10 @@ def _canonical_key(key: Any) -> str:
     return f"r:{key!r}"
 
 
+#: Exact types that are already canonical: returned as they are.
+_PLAIN_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
 def canonical_value(value: Any) -> Any:
     """Reduce ``value`` to plain JSON types, canonically.
 
@@ -94,7 +98,28 @@ def canonical_value(value: Any) -> Any:
     to ``repr`` — stable for the config objects used here, and never
     silently ambiguous (two distinct reprs cannot collide into one key
     component).
+
+    The exact JSON-native types (``str``/``int``/``float``/``bool``/
+    ``None``, ``dict``, ``list``, ``tuple``) are dispatched on their type
+    alone; every other value — subclasses included, such as
+    ``np.float64``, an ``IntEnum`` or an ``OrderedDict`` — walks the
+    full chain of :func:`_canonical_other`, in its order.  Both routes
+    give the same form for any value the fast one takes.
     """
+    cls = type(value)
+    if cls in _PLAIN_SCALARS:
+        return value
+    if cls is dict:
+        return {
+            _canonical_key(key): canonical_value(item) for key, item in value.items()
+        }
+    if cls is list or cls is tuple:
+        return [canonical_value(item) for item in value]
+    return _canonical_other(value)
+
+
+def _canonical_other(value: Any) -> Any:
+    """:func:`canonical_value` of a value outside the exact-type fast path."""
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {
             f.name: canonical_value(getattr(value, f.name))
@@ -115,9 +140,15 @@ def canonical_value(value: Any) -> Any:
     return repr(value)
 
 
+#: The one canonical encoder (sorted keys, no whitespace): the settings
+#: ``json.dumps(sort_keys=True, separators=(",", ":"))`` would rebuild on
+#: every call.
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(value: Any) -> str:
     """The canonical JSON form of ``value`` (sorted keys, no whitespace)."""
-    return json.dumps(canonical_value(value), sort_keys=True, separators=(",", ":"))
+    return _CANONICAL_ENCODER.encode(canonical_value(value))
 
 
 # ----------------------------------------------------------------------
@@ -199,6 +230,28 @@ def result_key(
 # ----------------------------------------------------------------------
 # The store
 # ----------------------------------------------------------------------
+#: Bytes asked for per ``os.read``; an entry is a few hundred bytes.
+_READ_CHUNK = 1 << 16
+
+
+def _read_bytes(path: str) -> bytes:
+    """The whole content of the file at ``path``, read with raw ``os`` calls.
+
+    Any failure — missing file, a directory in its place, an I/O error —
+    raises :class:`OSError`, and the descriptor is closed on every path.
+    """
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks = []
+        while True:
+            chunk = os.read(fd, _READ_CHUNK)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+    finally:
+        os.close(fd)
+
+
 #: Private miss sentinel: a stored payload may legitimately be ``None``,
 #: so lookups that must distinguish "not present" from "present and
 #: None" compare against this object instead of ``None``.
@@ -242,6 +295,9 @@ class ResultCache:
     ) -> None:
         self.cache_dir = pathlib.Path(cache_dir)
         self.cache_dir.mkdir(parents=True, exist_ok=True)
+        # Entry paths are built as plain strings: the lookup's raw read
+        # takes one without a pathlib round trip.
+        self._entry_prefix = os.path.join(os.fspath(self.cache_dir), "")
         self.fingerprint = fingerprint if fingerprint is not None else code_fingerprint()
         self.stats = CacheStats()
 
@@ -251,7 +307,10 @@ class ResultCache:
         return result_key(experiment, config, seed, fingerprint=self.fingerprint)
 
     def path_for_key(self, key: str) -> pathlib.Path:
-        return self.cache_dir / f"{key}.json"
+        return pathlib.Path(self._entry_path(key))
+
+    def _entry_path(self, key: str) -> str:
+        return f"{self._entry_prefix}{key}.json"
 
     # ------------------------------------------------------------------
     def _lookup(self, key: str) -> Any:
@@ -263,15 +322,18 @@ class ResultCache:
         replaces the bad entry.  The sentinel (never ``None``) signals
         the miss, so a stored-``None`` payload is a perfectly ordinary
         hit.
+
+        The entry is read as bytes (:func:`_read_bytes`) and decoded
+        strictly as UTF-8, so an undecodable entry is a corrupted miss
+        like any other malformed one.
         """
-        path = self.path_for_key(key)
         try:
-            raw = path.read_text(encoding="utf-8")
+            raw = _read_bytes(self._entry_path(key))
         except OSError:
             self.stats.misses += 1
             return _MISS
         try:
-            entry = json.loads(raw)
+            entry = json.loads(raw.decode("utf-8"))
             if (
                 not isinstance(entry, dict)
                 or entry.get("version") != ENTRY_VERSION

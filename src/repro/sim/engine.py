@@ -198,9 +198,6 @@ class SimulationEngine:
         # Memoized safety check (see _finalized_chains_conflict).
         self._safety_latched = False
         self._refresh_honest_views()
-        # Per-epoch duty cache, so a slot's contexts stop recomputing
-        # committees per validator.
-        self._duty_cache: Dict[int, EpochDuties] = {}
 
     # ------------------------------------------------------------------
     # View-group computation
@@ -367,11 +364,8 @@ class SimulationEngine:
         return list(self._byzantine)
 
     def _duties_for_epoch(self, epoch: int) -> EpochDuties:
-        duties = self._duty_cache.get(epoch)
-        if duties is None:
-            duties = self.scheduler.duties_for_epoch(epoch, self.registry)
-            self._duty_cache[epoch] = duties
-        return duties
+        # The scheduler memoizes each epoch's duties.
+        return self.scheduler.duties_for_epoch(epoch, self.registry)
 
     def _context_for(self, validator_index: int, slot: int, time: float) -> AgentContext:
         epoch = self.config.epoch_of_slot(slot)

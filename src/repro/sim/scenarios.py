@@ -245,16 +245,14 @@ def build_balancing_attack_simulation(
     byzantine_set = set(byzantine_indices)
 
     split_slot = 1  # slot 0 carries the genesis block; the fork starts at 1.
-    duty_seed = None
+    scheduler = None
     for attempt in range(max_attempts):
-        candidate = f"{seed}/balancing-{attempt}"
-        duties = DutyScheduler(config=cfg, seed=candidate).duties_for_epoch(
-            0, registry
-        )
+        candidate = DutyScheduler(config=cfg, seed=f"{seed}/balancing-{attempt}")
+        duties = candidate.duties_for_epoch(0, registry)
         if duties.proposers[split_slot] in byzantine_set:
-            duty_seed = candidate
+            scheduler = candidate
             break
-    if duty_seed is None:
+    if scheduler is None:
         raise ValueError(
             f"no duty seed with an adversarial slot-{split_slot} proposer found "
             f"in {max_attempts} attempts (F={len(byzantine_indices)}, N={n_validators})"
@@ -276,17 +274,20 @@ def build_balancing_attack_simulation(
     )
     for index in byzantine_indices:
         agents[index] = swayer.for_validator(index)
-    return SimulationEngine(
+    engine = SimulationEngine(
         registry=registry,
         agents=agents,
         schedule=PartitionSchedule.fully_connected(delta=delta),
         config=cfg,
-        seed=duty_seed,
+        seed=scheduler.seed,
         view_sharding=view_sharding,
         backend=backend,
         latency_model=latency_model,
         latency_seed=latency_seed,
     )
+    # The probe already shuffled epoch 0 for this seed; hand its memo over.
+    engine.scheduler = scheduler
+    return engine
 
 
 def build_behavior_mix_simulation(

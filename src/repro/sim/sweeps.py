@@ -344,7 +344,15 @@ def trial_cache_query(spec: ScenarioSpec, trial: int) -> Tuple[Dict[str, Any], s
     ``jobs`` or chunking — so any sweep over the same spec shares trial
     entries with any other, whatever its size or how it was interrupted.
     """
-    return {"spec": spec.canonical(), "trial": int(trial)}, spec.trial_seed(trial)
+    return _trial_query(spec, spec.canonical(), trial)
+
+
+def _trial_query(
+    spec: ScenarioSpec, canonical: Dict[str, Any], trial: int
+) -> Tuple[Dict[str, Any], str]:
+    """:func:`trial_cache_query` given the spec's :meth:`~ScenarioSpec.canonical`
+    form, so a sweep canonicalises each spec once, not once per trial."""
+    return {"spec": canonical, "trial": int(trial)}, spec.trial_seed(trial)
 
 
 def run_sweep(
@@ -389,12 +397,19 @@ def run_sweep(
         for spec_index in range(len(specs))
         for trial in range(n_trials)
     ]
+    # Each spec is canonicalised once per sweep, not once per trial.
+    canonicals = [spec.canonical() for spec in specs]
+
+    def query(task: Tuple[int, int]) -> Tuple[Dict[str, Any], str]:
+        spec_index, trial = task
+        return _trial_query(specs[spec_index], canonicals[spec_index], trial)
+
     rows: Dict[Tuple[int, int], Dict[str, Any]] = {}
     pending: List[Tuple[int, int]] = tasks
     if cache is not None:
         pending = []
         for task in tasks:
-            config, seed = trial_cache_query(specs[task[0]], task[1])
+            config, seed = query(task)
             payload = cache.fetch(TRIAL_EXPERIMENT, config, seed)
             if payload is None:  # rows are dicts, so None is unambiguous here
                 pending.append(task)
@@ -407,7 +422,7 @@ def run_sweep(
     def record_chunk(chunk: TaskChunk, chunk_rows: List[Dict[str, Any]]) -> None:
         for task, row in zip(chunk.tasks, chunk_rows):
             if cache is not None:
-                config, seed = trial_cache_query(specs[task[0]], task[1])
+                config, seed = query(task)
                 cache.store(TRIAL_EXPERIMENT, config, seed=seed, payload=row)
                 # The same round-trip a later hit performs, so resumed and
                 # uninterrupted runs return byte-identical rows.
@@ -427,7 +442,7 @@ def run_sweep(
     return SweepResult(
         n_trials=n_trials,
         trial_rows=[rows[task] for task in tasks],
-        specs=[spec.canonical() for spec in specs],
+        specs=canonicals,
     )
 
 

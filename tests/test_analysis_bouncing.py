@@ -16,6 +16,8 @@ from repro.analysis.bouncing import (
     log10_attack_duration_probability,
     p0_feasibility_window,
 )
+from repro.leak.stake import Behavior, continuous_ejection_epoch
+from repro.spec.config import SpecConfig
 
 
 class TestFeasibilityWindow:
@@ -142,6 +144,25 @@ class TestBouncingAttackModel:
             model.byzantine_ejection_epoch()
             - constants.PAPER_BOUNCING_BYZANTINE_EJECTION_EPOCH
         ) / 7653 < 0.01
+
+    def test_byzantine_ejection_reads_the_config(self):
+        minimal = SpecConfig.minimal()
+        model = BouncingAttackModel(beta0=1 / 3, config=minimal)
+        assert model.byzantine_ejection_epoch() == continuous_ejection_epoch(
+            Behavior.SEMI_ACTIVE, config=minimal
+        )
+        # 2**12 times the leak speed: the mainnet ejection over 64.
+        mainnet = BouncingAttackModel(beta0=1 / 3).byzantine_ejection_epoch()
+        assert model.byzantine_ejection_epoch() == pytest.approx(mainnet / 64)
+        assert model.distribution.config is minimal
+
+    def test_monte_carlo_reads_the_config(self):
+        # At epoch 100 the minimal leak (quotient 2**14) has already pushed
+        # some honest stake under the Byzantine bound; mainnet's has not.
+        minimal = BouncingAttackModel(beta0=0.3, config=SpecConfig.minimal())
+        mainnet = BouncingAttackModel(beta0=0.3)
+        assert minimal.simulate_exceed_probability(t=100, n_samples=2000, seed=7) > 0.0
+        assert mainnet.simulate_exceed_probability(t=100, n_samples=2000, seed=7) == 0.0
 
     def test_zero_time_probability_zero(self):
         assert BouncingAttackModel(beta0=0.33).exceed_threshold_probability(0.0) == 0.0

@@ -7,6 +7,7 @@ import pytest
 
 from repro.analysis.distributions import BouncingStakeDistribution
 from repro.leak.stake import semi_active_stake
+from repro.spec.config import SpecConfig
 
 
 @pytest.fixture
@@ -26,8 +27,20 @@ class TestConstruction:
             BouncingStakeDistribution(p0=0.0)
 
     def test_invalid_bounds(self):
+        # The bounds come from the config, which rejects an ejection
+        # balance above the cap.
         with pytest.raises(ValueError):
-            BouncingStakeDistribution(p0=0.5, ejection_balance=40.0)
+            BouncingStakeDistribution(p0=0.5, config=SpecConfig(ejection_balance=40.0))
+
+    def test_config_supplies_the_leak_constants(self):
+        minimal = SpecConfig.minimal()
+        lenient = SpecConfig(inactivity_score_bias=2, ejection_balance=20.0)
+        assert BouncingStakeDistribution(p0=0.5, config=minimal).quotient == 2.0 ** 14
+        custom = BouncingStakeDistribution(p0=0.5, config=lenient)
+        assert custom.ejection_balance == 20.0
+        # V = (bias - recovery) / 2 and D = (bias + recovery)^2 p0 (1 - p0).
+        assert custom.drift == 0.5
+        assert custom.diffusion == 9 * 0.25
 
 
 class TestUncappedLaw:

@@ -215,6 +215,30 @@ class TestResumableSweeps:
         assert config == {"spec": self.SPEC.canonical(), "trial": 4}
         assert seed == self.SPEC.trial_seed(4)
 
+    def test_each_spec_is_canonicalised_once_per_sweep(self, tmp_path, monkeypatch):
+        specs = [self.SPEC, self.SPEC.with_overrides(n_validators=12)]
+        cold = run_sweep(specs, 3, ResultCache(tmp_path), jobs=1)
+        calls = []
+        canonical = ScenarioSpec.canonical
+
+        def counting(spec):
+            calls.append(spec)
+            return canonical(spec)
+
+        monkeypatch.setattr(ScenarioSpec, "canonical", counting)
+        # A cold pass (fetch misses, then stores) and a warm one (hits).
+        for cache_dir in (tmp_path / "cold", tmp_path):
+            calls.clear()
+            cache = ResultCache(cache_dir)
+            result = run_sweep(specs, 3, cache, jobs=1)
+            assert calls == specs
+            assert rows_json(result) == rows_json(cold)
+            # Every trial is stored or replayed under trial_cache_query's address.
+            for spec in specs:
+                for trial in range(3):
+                    config, seed = trial_cache_query(spec, trial)
+                    assert cache.contains(TRIAL_EXPERIMENT, config, seed)
+
     def test_progress_streams_resume_point_then_chunks(self, tmp_path):
         cache = ResultCache(tmp_path)
         # Pre-store one trial, then watch the counters stream.
