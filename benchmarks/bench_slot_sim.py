@@ -86,6 +86,23 @@ def _slots_per_second(engine, result, seconds: float) -> float:
     return result.epochs_run * engine.config.slots_per_epoch / seconds
 
 
+def _validator_states(result):
+    """Every validator's final state: the state of the view it belongs to."""
+    return {
+        index: result.view_states[name]
+        for name, members in result.view_groups.items()
+        for index in members
+    }
+
+
+def _assert_same_final_states(grouped, per_node):
+    grouped_states = _validator_states(grouped)
+    per_node_states = _validator_states(per_node)
+    assert set(grouped_states) == set(per_node_states)
+    for index, state in grouped_states.items():
+        assert state == per_node_states[index]
+
+
 def _timed_run(n_validators: int, view_sharding: bool):
     engine = build_partitioned_simulation(
         n_validators=n_validators, p0=0.5, view_sharding=view_sharding
@@ -111,8 +128,7 @@ def test_view_sharding_at_least_10x_faster(bench_record):
     # Identical physics first: the speedup must not change the simulation.
     assert grouped_small.snapshots == per_node.snapshots
     assert grouped_small.slashed_indices == per_node.slashed_indices
-    for index in grouped_small.final_states:
-        assert grouped_small.final_states[index] == per_node.final_states[index]
+    _assert_same_final_states(grouped_small, per_node)
 
     grouped_large_time, engine, result = _timed_run(LARGE, view_sharding=True)
     # Partition physics hold at mainnet scale.
@@ -180,8 +196,7 @@ def test_balancing_split_path_at_least_10x_faster(bench_record):
     # Identical physics first, fragmentation and all.
     assert grouped.snapshots == per_node.snapshots
     assert grouped.slashed_indices == per_node.slashed_indices
-    for index in grouped.final_states:
-        assert grouped.final_states[index] == per_node.final_states[index]
+    _assert_same_final_states(grouped, per_node)
     # The fragmentation stays O(branches): left + right + Byzantine.
     assert len(grouped.split_events()) == 1
     assert grouped.peak_view_count == 3
@@ -713,7 +728,7 @@ def test_grouped_partition_throughput_10k(benchmark):
 
     result = benchmark.pedantic(run, rounds=3, iterations=1)
     assert result.max_finalized_epoch() == 0
-    assert len(result.distinct_final_states()) == 2
+    assert len(result.view_states) == 2
 
 
 @pytest.mark.benchmark(group="slot-sim")

@@ -19,7 +19,7 @@ from __future__ import annotations
 import time
 from typing import Dict, Optional, Union
 
-from repro.network.latency import LatencyModel, resolve_latency_model
+from repro.network.latency import LatencyModel
 from repro.sim.scenarios import build_honest_simulation, build_partitioned_simulation
 from repro.spec.config import SpecConfig
 
@@ -98,10 +98,3 @@ def measure_partitioned_premise(
         "delayed_across_partition": stats.delayed_across_partition,
         "latency_delayed": stats.latency_delayed,
     }
-
-
-def resolve_for_report(
-    latency_model: Union[None, str, LatencyModel], latency_seed: int
-) -> Optional[LatencyModel]:
-    """Factory passthrough used by experiments accepting ``--latency-model``."""
-    return resolve_latency_model(latency_model, seed=latency_seed)

@@ -80,7 +80,6 @@ _MASK64 = (1 << 64) - 1
 _CLASS_OF_KIND = {
     MessageKind.BLOCK: 1,
     MessageKind.ATTESTATION_BATCH: 2,
-    MessageKind.SLASHING_EVIDENCE: 3,
 }
 
 
@@ -324,34 +323,23 @@ class LatencyModel:
 class UniformDelay(LatencyModel):
     """The exact legacy timing rule: every message arrives ``delta`` late.
 
-    With ``delta=None`` (default) the bound is taken from the partition
-    schedule, making this model *provably* the pre-latency-layer
-    behaviour — the transport routes it through the identical legacy
-    code path, so configuring ``latency_model=UniformDelay()`` is
-    byte-for-byte the same simulation as configuring no model at all.
-    A custom ``delta`` overrides the schedule's bound but keeps the
-    deterministic one-shot semantics.
+    The bound is the partition schedule's ``delta``, making this model
+    *provably* the pre-latency-layer behaviour — the transport routes it
+    through the identical legacy code path, so configuring
+    ``latency_model=UniformDelay()`` is byte-for-byte the same simulation
+    as configuring no model at all.
     """
 
     is_uniform = True
 
-    def __init__(self, delta: Optional[float] = None) -> None:
+    def __init__(self) -> None:
         super().__init__(seed=0)
-        if delta is not None and delta <= 0:
-            raise ValueError("delta must be positive")
-        self.delta = delta
-
-    def effective_delta(self, schedule: PartitionSchedule) -> float:
-        """The delay bound actually applied under ``schedule``."""
-        return schedule.delta if self.delta is None else self.delta
 
     def _latencies(
         self, message: Message, recipients: np.ndarray, available_at: float
     ) -> np.ndarray:
         self._require_bound()
-        return np.full(
-            len(recipients), self.effective_delta(self.schedule), dtype=np.float64
-        )
+        return np.full(len(recipients), self.schedule.delta, dtype=np.float64)
 
 
 class FixedJitter(LatencyModel):

@@ -14,7 +14,6 @@ from typing import Union
 
 from repro.core.attestation_batch import AttestationBatch
 from repro.spec.block import BeaconBlock
-from repro.spec.slashing import SlashingEvidence
 
 _message_counter = itertools.count()
 
@@ -25,15 +24,15 @@ class MessageKind(str, Enum):
     ``ATTESTATION_BATCH`` carries one cluster's identical votes as one
     flat-array payload: a committee's honest votes, the adversary's
     coordinated votes (one batch per branch), or a lone validator's vote
-    as a one-row batch.
+    as a one-row batch.  Slashing evidence has no kind of its own: it
+    travels inside blocks (``block.slashing_evidence``).
     """
 
     BLOCK = "block"
     ATTESTATION_BATCH = "attestation_batch"
-    SLASHING_EVIDENCE = "slashing_evidence"
 
 
-Payload = Union[BeaconBlock, AttestationBatch, SlashingEvidence]
+Payload = Union[BeaconBlock, AttestationBatch]
 
 
 @dataclass(frozen=True)
@@ -63,11 +62,6 @@ class Message:
     ) -> "Message":
         """Wrap an attestation batch (sender: any batch member)."""
         return Message(MessageKind.ATTESTATION_BATCH, batch, sender, sent_at)
-
-    @staticmethod
-    def evidence(evidence: SlashingEvidence, sender: int, sent_at: float) -> "Message":
-        """Wrap slashing evidence being gossiped to proposers."""
-        return Message(MessageKind.SLASHING_EVIDENCE, evidence, sender, sent_at)
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return f"Message(kind={self.kind.value}, sender={self.sender}, t={self.sent_at})"

@@ -75,7 +75,7 @@ class Network:
         self._queue: List[Delivery] = []
         self._withheld: List[Tuple[Message, int]] = []
         self.stats = TransportStats()
-        #: Optional latency model.  ``None`` and a default
+        #: Optional latency model.  ``None`` and a
         #: :class:`~repro.network.latency.UniformDelay` take the exact
         #: legacy scheduling path; other models sample per-recipient
         #: delivery times (``_schedule_modeled``).
@@ -85,13 +85,6 @@ class Network:
             # validator set and no phase grid (raw delivery times).
             latency_model.bind(schedule, self.participants)
         self._modeled = latency_model is not None and not latency_model.is_uniform
-        #: Custom uniform bound (``UniformDelay(delta=...)``); ``None``
-        #: means the schedule's own ``delta`` — the untouched legacy rule.
-        self._uniform_delta: Optional[float] = None
-        if latency_model is not None and latency_model.is_uniform:
-            delta = latency_model.delta  # type: ignore[attr-defined]
-            if delta is not None and delta != schedule.delta:
-                self._uniform_delta = delta
         # View hooks, installed by the view-sharded engine: endpoint →
         # member validators, and exact-audience resolution (which
         # copy-on-write splits any view group an audience only partially
@@ -192,7 +185,7 @@ class Network:
             else:
                 deliver_at = max(
                     release_time,
-                    self._legacy_deliver_at(message.sender, recipient, release_time),
+                    self.schedule.delivery_time(message.sender, recipient, release_time),
                 )
                 heapq.heappush(
                     self._queue,
@@ -207,23 +200,12 @@ class Network:
         if self._modeled:
             self._schedule_modeled(message, recipient, effective_sent)
             return
-        deliver_at = self._legacy_deliver_at(message.sender, recipient, effective_sent)
-        bound = self._uniform_delta if self._uniform_delta is not None else self.schedule.delta
-        if deliver_at > effective_sent + bound:
+        deliver_at = self.schedule.delivery_time(message.sender, recipient, effective_sent)
+        if deliver_at > effective_sent + self.schedule.delta:
             self.stats.delayed_across_partition += 1
         heapq.heappush(
             self._queue, Delivery(message=message, recipient=recipient, deliver_at=deliver_at)
         )
-
-    def _legacy_deliver_at(
-        self, sender: int, recipient: int, effective_sent: float
-    ) -> float:
-        """The deterministic uniform-delay rule (optionally a custom bound)."""
-        if self._uniform_delta is None:
-            return self.schedule.delivery_time(sender, recipient, effective_sent)
-        if self.schedule.can_communicate(sender, recipient, effective_sent):
-            return effective_sent + self._uniform_delta
-        return self.schedule.gst + self._uniform_delta
 
     def _schedule_modeled(
         self,

@@ -2,13 +2,6 @@
 
 from repro.sim.engine import SimulationEngine
 from repro.sim.node import MemberView, Node
-from repro.sim.observers import (
-    FinalityObserver,
-    LeakObserver,
-    ObserverSet,
-    SafetyObserver,
-    StakeObserver,
-)
 from repro.sim.results import EpochSnapshot, SimulationResult
 from repro.sim.scenarios import (
     BYZANTINE_STRATEGIES,
@@ -28,17 +21,12 @@ from repro.sim.sweeps import (
 __all__ = [
     "BYZANTINE_STRATEGIES",
     "EpochSnapshot",
-    "FinalityObserver",
-    "LeakObserver",
     "MemberView",
     "Node",
-    "ObserverSet",
     "SCENARIO_PRESETS",
-    "SafetyObserver",
     "ScenarioSpec",
     "SimulationEngine",
     "SimulationResult",
-    "StakeObserver",
     "SweepResult",
     "build_honest_simulation",
     "build_offline_fraction_simulation",

@@ -49,7 +49,7 @@ sharding changes who ingests a message, never what is sent.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Callable, Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.agents.base import (
     AgentContext,
@@ -71,10 +71,6 @@ from repro.spec.config import SpecConfig
 from repro.spec.finality import conflicting_finalized_checkpoints
 from repro.spec.validator import Registry, Validator
 
-#: Observers are called as ``observer(engine, epoch)`` after each epoch's
-#: processing (see :mod:`repro.sim.observers` for ready-made ones).
-EngineObserver = Callable[["SimulationEngine", int], None]
-
 
 class SimulationEngine:
     """Drives validator agents through slots and epochs over shared views."""
@@ -86,7 +82,6 @@ class SimulationEngine:
         schedule: Optional[PartitionSchedule] = None,
         config: Optional[SpecConfig] = None,
         seed: str = "repro",
-        observers: Optional[Sequence["EngineObserver"]] = None,
         view_sharding: bool = True,
         backend: str = "numpy",
         latency_model: Union[None, str, LatencyModel] = None,
@@ -117,7 +112,6 @@ class SimulationEngine:
         self.scheduler = DutyScheduler(config=self.config, seed=seed)
         self.view_sharding = view_sharding
         self.backend = backend
-        self.observers: List[EngineObserver] = list(observers or [])
         self._partition_names: Tuple[str, ...] = tuple(self.schedule.partition_names())
         # Global observer tree: every published block, regardless of which
         # nodes received it.  Used to detect conflicting finalized chains
@@ -147,7 +141,7 @@ class SimulationEngine:
             for index in members
         }
         #: Per-validator facades over the shared views (the public,
-        #: per-node-compatible surface used by agents and observers).
+        #: per-node-compatible surface used by agents).
         self.nodes: Dict[int, Union[Node, MemberView]] = {
             validator.index: self.views[self.group_of[validator.index]].for_member(
                 validator.index
@@ -343,11 +337,11 @@ class SimulationEngine:
     def _refresh_honest_views(self) -> None:
         # Views containing at least one honest member drive the global
         # Safety/Liveness observables (duplicated states add nothing).
-        self._honest_views: List[Node] = [
-            view
-            for view in self.views.values()
+        self._honest_views: Dict[str, Node] = {
+            name: view
+            for name, view in self.views.items()
             if any(m not in self._byzantine_set for m in view.members)
-        ]
+        }
         # The safety fingerprint is positional over the honest views, so a
         # topology change invalidates the memo (the latch survives).
         self._safety_cache: Optional[Tuple[Tuple, bool, bool]] = None
@@ -464,7 +458,7 @@ class SimulationEngine:
         """Cheap summary of everything the safety check depends on."""
         return tuple(
             (len(view.state.finalized_checkpoints), view.state.finalized_checkpoint)
-            for view in self._honest_views
+            for view in self._honest_views.values()
         )
 
     def _finalized_chains_conflict(self) -> bool:
@@ -496,7 +490,9 @@ class SimulationEngine:
         return result
 
     def _scan_finalized_conflicts(self) -> Tuple[bool, bool]:
-        checkpoints = [view.state.finalized_checkpoint for view in self._honest_views]
+        checkpoints = [
+            view.state.finalized_checkpoint for view in self._honest_views.values()
+        ]
         unresolved = False
         for i, first in enumerate(checkpoints):
             for second in checkpoints[i + 1 :]:
@@ -511,7 +507,7 @@ class SimulationEngine:
                 if not self._global_tree.is_ancestor(low.root, high.root):
                     return True, unresolved
         # Also cover conflicts at intermediate finalized epochs.
-        honest_states = [view.state for view in self._honest_views]
+        honest_states = [view.state for view in self._honest_views.values()]
         return bool(conflicting_finalized_checkpoints(honest_states)), unresolved
 
     def _snapshot(self, epoch: int) -> EpochSnapshot:
@@ -528,7 +524,7 @@ class SimulationEngine:
                 representative.byzantine_stake_proportion() if representative else 0.0
             ),
             any_in_leak=any(
-                view.state.is_in_inactivity_leak() for view in self._honest_views
+                view.state.is_in_inactivity_leak() for view in self._honest_views.values()
             ),
             safety_violated=self._finalized_chains_conflict(),
         )
@@ -555,8 +551,6 @@ class SimulationEngine:
                     # Close the books on the previous epoch on every view.
                     self._process_epoch_on_all_nodes(epoch - 1)
                     snapshots.append(self._snapshot(epoch - 1))
-                    for observer in self.observers:
-                        observer(self, epoch - 1)
                 if self.network.withheld_count():
                     self.adversary.release_all(slot_start)
                 for index, agent in self._epoch_start_agents:
@@ -580,11 +574,9 @@ class SimulationEngine:
         # Final epoch processing.
         self._process_epoch_on_all_nodes(num_epochs - 1)
         snapshots.append(self._snapshot(num_epochs - 1))
-        for observer in self.observers:
-            observer(self, num_epochs - 1)
 
         slashed: Set[int] = set()
-        for view in self._honest_views:
+        for view in self._honest_views.values():
             columns = view.state.validators
             slashed.update(columns.index[columns.slashed].tolist())
 
@@ -592,7 +584,8 @@ class SimulationEngine:
             epochs_run=num_epochs,
             honest_indices=self.honest_indices(),
             byzantine_indices=self.byzantine_indices(),
-            final_states={index: node.state for index, node in self.nodes.items()},
+            view_states={name: view.state for name, view in self.views.items()},
+            honest_views=list(self._honest_views),
             snapshots=snapshots,
             transport_stats=self.network.stats,
             slashed_indices=slashed,

@@ -53,7 +53,7 @@ from repro.spec.finality import FFGVotePool
 from repro.spec.forkchoice import Store
 from repro.spec.slashing import SlashingDetector, SlashingEvidence
 from repro.spec.state import BeaconState
-from repro.spec.state_transition import ChainHistory, EpochReport, process_epoch
+from repro.spec.state_transition import EpochReport, process_epoch
 from repro.spec.types import Root
 from repro.spec.validator import Registry, Validator
 
@@ -209,7 +209,6 @@ class Node:
         self.store = Store(config=self.config)
         self.pool = FFGVotePool()
         self.detector = SlashingDetector()
-        self.history = ChainHistory()
         self.pending = PendingQueues()
         #: Checkpoint votes seen, as flat per-target-epoch columns
         #: (activity accounting + Byzantine source scans; root ids are
@@ -309,7 +308,6 @@ class Node:
         clone.store = self.store.clone()
         clone.pool = self.pool.clone()
         clone.detector = self.detector.clone()
-        clone.history = ChainHistory(reports=list(self.history.reports))
         clone.pending = PendingQueues(
             blocks=list(self.pending.blocks),
             attestations=list(self.pending.attestations),
@@ -391,8 +389,6 @@ class Node:
             self._receive_block(message.payload)  # type: ignore[arg-type]
         elif message.kind is MessageKind.ATTESTATION_BATCH:
             self._receive_attestation_batch(message.payload)  # type: ignore[arg-type]
-        elif message.kind is MessageKind.SLASHING_EVIDENCE:
-            self._receive_evidence(message.payload)  # type: ignore[arg-type]
         else:  # pragma: no cover - defensive
             raise ValueError(f"unknown message kind {message.kind}")
 
@@ -508,13 +504,6 @@ class Node:
         )
         self._inclusion_log.append(batch, rows)
         self._evidence_log.extend(self.detector.observe_batch(batch))
-
-    def _receive_evidence(self, evidence: SlashingEvidence) -> None:
-        if not self.detector.has_evidence_against(evidence.validator_index):
-            self._evidence_log.append(evidence)
-            # Feed both attestations to the detector so duplicates are ignored.
-            self.detector.observe(evidence.first)
-            self.detector.observe(evidence.second)
 
     def _drain_pending(self) -> None:
         """Retry queued blocks/attestations whose dependencies may now exist."""
@@ -698,7 +687,6 @@ class Node:
             epoch=epoch,
             backend=self.backend,
         )
-        self.history.append(report)
         # Propagate finality knowledge into the fork-choice store.
         self.store.update_checkpoints(
             self.state.current_justified_checkpoint, self.state.finalized_checkpoint
@@ -796,7 +784,7 @@ class MemberView:
     Everything except identity delegates to the underlying node; identity
     shows up in two places — ``validator_index`` itself and the proposer
     (and inclusion cursors) of :meth:`build_block` — plus the member-local
-    inclusion queues.  Agents, observers and result collectors treat it
+    inclusion queues.  Agents and result collectors treat it
     exactly like a node of its own.
     """
 

@@ -3,23 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.network.transport import TransportStats
-from repro.spec.checkpoint import Checkpoint
 from repro.spec.finality import conflicting_finalized_checkpoints
 from repro.spec.state import BeaconState
-
-
-def _dedup_by_identity(states: Sequence[BeaconState]) -> List[BeaconState]:
-    """The distinct state objects in ``states`` (view groups share one)."""
-    seen: Set[int] = set()
-    distinct: List[BeaconState] = []
-    for state in states:
-        if id(state) not in seen:
-            seen.add(id(state))
-            distinct.append(state)
-    return distinct
 
 
 @dataclass(frozen=True)
@@ -61,10 +49,11 @@ class SimulationResult:
     epochs_run: int
     honest_indices: List[int]
     byzantine_indices: List[int]
-    #: Final state of every node, keyed by validator index.  Under view
-    #: sharding the members of a group share one state object; comparisons
-    #: are by value, so grouped and per-node runs produce equal results.
-    final_states: Dict[int, BeaconState]
+    #: Final state of every view, keyed like ``view_groups``: a view's
+    #: members all hold this one state.
+    view_states: Dict[str, BeaconState]
+    #: Names of the views with at least one honest member.
+    honest_views: List[str]
     snapshots: List[EpochSnapshot] = field(default_factory=list)
     transport_stats: Optional[TransportStats] = None
     #: Validators slashed on any honest node's chain by the end of the run.
@@ -87,25 +76,8 @@ class SimulationResult:
 
     # ------------------------------------------------------------------
     def honest_states(self) -> List[BeaconState]:
-        """Final states of the honest nodes."""
-        return [self.final_states[i] for i in self.honest_indices]
-
-    def distinct_final_states(self) -> List[BeaconState]:
-        """The distinct state objects behind ``final_states``.
-
-        Under view sharding this is one state per view group — the cheap
-        iteration target for O(views) post-processing at mainnet scale.
-        """
-        return _dedup_by_identity(list(self.final_states.values()))
-
-    def _distinct_honest_states(self) -> List[BeaconState]:
-        """Distinct state objects behind the honest nodes.
-
-        States shared by a view group are identical by construction, so
-        pairwise checks over the distinct objects see every possible
-        conflict while staying O(views²) instead of O(validators²).
-        """
-        return _dedup_by_identity(self.honest_states())
+        """Final states of the honest views, one per view."""
+        return [self.view_states[name] for name in self.honest_views]
 
     def safety_violated(self) -> bool:
         """True if two honest nodes finalized conflicting checkpoints.
@@ -116,11 +88,7 @@ class SimulationResult:
         """
         if any(snapshot.safety_violated for snapshot in self.snapshots):
             return True
-        return bool(conflicting_finalized_checkpoints(self._distinct_honest_states()))
-
-    def conflicting_checkpoints(self) -> List[Tuple[Checkpoint, Checkpoint]]:
-        """The conflicting finalized checkpoint pairs among honest nodes."""
-        return conflicting_finalized_checkpoints(self._distinct_honest_states())
+        return bool(conflicting_finalized_checkpoints(self.honest_states()))
 
     def max_finalized_epoch(self) -> int:
         """Highest epoch finalized by any honest node."""

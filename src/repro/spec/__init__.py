@@ -45,7 +45,6 @@ from repro.spec.slashing import (
 )
 from repro.spec.state import BeaconState
 from repro.spec.state_transition import (
-    ChainHistory,
     EpochReport,
     advance_epoch,
     process_epoch,
@@ -64,7 +63,6 @@ __all__ = [
     "BeaconBlock",
     "BeaconState",
     "BlockTree",
-    "ChainHistory",
     "Checkpoint",
     "DEFAULT_CONFIG",
     "DutyScheduler",

@@ -178,10 +178,6 @@ class SlashingDetector:
         """Evidence collected so far (whether or not already included in a block)."""
         return list(self._evidence.values())
 
-    def has_evidence_against(self, validator_index: int) -> bool:
-        """True if evidence against ``validator_index`` has been collected."""
-        return validator_index in self._evidence
-
     # ------------------------------------------------------------------
     def _place(
         self, index: int, target: int, source: int, group: int

@@ -14,8 +14,8 @@ module, so the paper's mechanisms are exercised by a single implementation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Union
+from dataclasses import dataclass
+from typing import Iterable, Optional, Union
 
 from repro.core.backend import StakeBackend, get_backend
 from repro.spec.finality import FFGVotePool, JustificationResult, process_justification
@@ -119,38 +119,3 @@ def advance_epoch(state: BeaconState) -> int:
     """Move the state to the next epoch and return the new epoch number."""
     state.current_epoch += 1
     return state.current_epoch
-
-
-@dataclass
-class ChainHistory:
-    """Accumulated per-epoch reports for one chain (branch)."""
-
-    reports: List[EpochReport] = field(default_factory=list)
-
-    def append(self, report: EpochReport) -> None:
-        self.reports.append(report)
-
-    @property
-    def last(self) -> Optional[EpochReport]:
-        return self.reports[-1] if self.reports else None
-
-    def first_finalization_epoch(self, after_epoch: int = 0) -> Optional[int]:
-        """Epoch of the first finalization event strictly after ``after_epoch``."""
-        for report in self.reports:
-            if report.epoch <= after_epoch:
-                continue
-            if report.justification.finalized_any:
-                return report.epoch
-        return None
-
-    def byzantine_proportion_series(self) -> List[float]:
-        """The Byzantine stake proportion at the end of each processed epoch."""
-        return [report.byzantine_proportion for report in self.reports]
-
-    def active_ratio_series(self) -> List[float]:
-        """The active-stake ratio at each processed epoch (Figure 3 series)."""
-        return [report.active_stake_ratio for report in self.reports]
-
-    def leak_epochs(self) -> List[int]:
-        """Epochs during which the chain was in an inactivity leak."""
-        return [report.epoch for report in self.reports if report.in_leak]

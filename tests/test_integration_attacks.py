@@ -16,6 +16,15 @@ from repro.sim.scenarios import (
 from repro.spec.config import SpecConfig
 
 
+def validator_states(result):
+    """Every validator's final state: the state of the view it belongs to."""
+    return {
+        index: result.view_states[name]
+        for name, members in result.view_groups.items()
+        for index in members
+    }
+
+
 class TestBaselineLiveness:
     def test_finalized_chain_grows_every_epoch_after_warmup(self):
         engine = build_honest_simulation(n_validators=12)
@@ -102,7 +111,7 @@ class TestSlashingAfterHeal:
         result = engine.run(9)
         assert result.slashed_indices == set(result.byzantine_indices)
         # Slashed validators are ejected from the active set on honest views.
-        state = result.final_states[result.honest_indices[0]]
+        state = validator_states(result)[result.honest_indices[0]]
         for index in result.byzantine_indices:
             assert state.validators[index].slashed
             assert not state.validators[index].is_active(result.epochs_run + 1)

@@ -238,20 +238,10 @@ class TestUniformDelay:
     def test_default_delta_comes_from_schedule(self):
         schedule = split_schedule(delta=2.0)
         model = UniformDelay().bind(schedule, INDICES)
-        assert model.effective_delta(schedule) == 2.0
         times, avail = model.delivery_times(
             block_message(sender=0), np.arange(18), available_at=10.0
         )
         assert np.allclose(times, avail + 2.0)
-
-    def test_custom_delta_overrides_schedule(self):
-        schedule = split_schedule(delta=2.0)
-        model = UniformDelay(delta=0.5)
-        assert model.effective_delta(schedule) == 0.5
-
-    def test_rejects_nonpositive_delta(self):
-        with pytest.raises(ValueError):
-            UniformDelay(delta=0.0)
 
 
 class TestFixedJitter:

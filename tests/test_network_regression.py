@@ -44,12 +44,23 @@ def run_small(name: str, backend: str = "numpy", **overrides):
     return engine, engine.run(EPOCHS)
 
 
+def validator_states(result):
+    """Every validator's final state: the state of the view it belongs to."""
+    return {
+        index: result.view_states[name]
+        for name, members in result.view_groups.items()
+        for index in members
+    }
+
+
 def assert_trajectories_identical(first, second):
     assert first.epochs_run == second.epochs_run
     assert first.snapshots == second.snapshots
-    assert set(first.final_states) == set(second.final_states)
-    for index in first.final_states:
-        assert first.final_states[index] == second.final_states[index], (
+    first_states = validator_states(first)
+    second_states = validator_states(second)
+    assert set(first_states) == set(second_states)
+    for index, state in first_states.items():
+        assert state == second_states[index], (
             f"final state of validator {index} diverged"
         )
     assert first.slashed_indices == second.slashed_indices

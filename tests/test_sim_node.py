@@ -238,7 +238,8 @@ class TestEpochProcessing:
             node.receive(vote(node, slot=1, validator=validator, head=block.root))
         report = node.process_epoch_end(0)
         assert report.epoch == 0
-        assert node.history.reports
+        assert report.rewards.epoch == 0
+        assert not report.in_leak
         assert node.state.current_epoch == 0
 
     def test_finalized_accessors(self, node):

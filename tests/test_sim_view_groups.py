@@ -249,6 +249,15 @@ PYTHON_BACKEND_IDS = {
 }
 
 
+def validator_states(result):
+    """Every validator's final state: the state of the view it belongs to."""
+    return {
+        index: result.view_states[name]
+        for name, members in result.view_groups.items()
+        for index in members
+    }
+
+
 def assert_runs_equivalent(grouped, per_node):
     assert grouped.epochs_run == per_node.epochs_run
     assert grouped.honest_indices == per_node.honest_indices
@@ -256,9 +265,11 @@ def assert_runs_equivalent(grouped, per_node):
     # Per-epoch global observables, bit-for-bit.
     assert grouped.snapshots == per_node.snapshots
     # Full final-state value equality for every validator's view.
-    assert set(grouped.final_states) == set(per_node.final_states)
-    for index in grouped.final_states:
-        assert grouped.final_states[index] == per_node.final_states[index], (
+    grouped_states = validator_states(grouped)
+    per_node_states = validator_states(per_node)
+    assert set(grouped_states) == set(per_node_states)
+    for index, state in grouped_states.items():
+        assert state == per_node_states[index], (
             f"final state of validator {index} diverged"
         )
     assert grouped.slashed_indices == per_node.slashed_indices
@@ -495,9 +506,11 @@ class TestViewGroupStructure:
         engine = build_partitioned_simulation(n_validators=12, p0=0.5)
         result = engine.run(4)
         members = engine.view_groups["branch-1"]
-        states = {id(result.final_states[index]) for index in members}
-        assert len(states) == 1
-        assert len(result.distinct_final_states()) == len(engine.views)
+        states = validator_states(result)
+        assert len({id(states[index]) for index in members}) == 1
+        assert {name: id(state) for name, state in result.view_states.items()} == {
+            name: id(view.state) for name, view in engine.views.items()
+        }
         assert result.view_groups == engine.view_groups
 
     def test_grouped_transport_schedules_fewer_deliveries(self):

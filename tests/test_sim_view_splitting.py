@@ -67,6 +67,15 @@ def _withheld(engine: SimulationEngine, endpoint: int):
     ]
 
 
+def validator_states(result):
+    """Every validator's final state: the state of the view it belongs to."""
+    return {
+        index: result.view_states[name]
+        for name, members in result.view_groups.items()
+        for index in members
+    }
+
+
 class TestSplitMechanics:
     def test_partial_audience_splits_group(self):
         engine = build_honest_simulation(n_validators=12)
@@ -310,5 +319,8 @@ class TestInclusionHorizon:
         grouped = build_honest_simulation(n_validators=10).run(5)
         per_node = build_honest_simulation(n_validators=10, view_sharding=False).run(5)
         assert grouped.snapshots == per_node.snapshots
-        for index in grouped.final_states:
-            assert grouped.final_states[index] == per_node.final_states[index]
+        grouped_states = validator_states(grouped)
+        per_node_states = validator_states(per_node)
+        assert set(grouped_states) == set(per_node_states)
+        for index, state in grouped_states.items():
+            assert state == per_node_states[index]

@@ -6,7 +6,7 @@ from repro.spec.checkpoint import Checkpoint, FFGVote, GENESIS_CHECKPOINT
 from repro.spec.config import SpecConfig
 from repro.spec.finality import FFGVotePool
 from repro.spec.state import BeaconState
-from repro.spec.state_transition import ChainHistory, advance_epoch, process_epoch
+from repro.spec.state_transition import advance_epoch, process_epoch
 from repro.spec.types import Root
 from repro.spec.validator import make_registry
 
@@ -85,29 +85,8 @@ class TestProcessEpoch:
         assert state.current_epoch == 7
 
 
-class TestAdvanceAndHistory:
+class TestAdvanceEpoch:
     def test_advance_epoch(self, state):
         assert advance_epoch(state) == 1
         assert advance_epoch(state) == 2
         assert state.current_epoch == 2
-
-    def test_history_tracks_finalizations_and_series(self, state):
-        history = ChainHistory()
-        pool = FFGVotePool()
-        for epoch in range(1, 4):
-            if epoch == 1:
-                fill_pool(pool, range(9), GENESIS_CHECKPOINT, cp(1))
-            else:
-                fill_pool(pool, range(9), cp(epoch - 1), cp(epoch))
-            state.current_epoch = epoch
-            history.append(process_epoch(state, pool, active_indices=range(9)))
-        assert history.first_finalization_epoch() == 2
-        assert len(history.byzantine_proportion_series()) == 3
-        assert len(history.active_ratio_series()) == 3
-        assert history.leak_epochs() == []
-        assert history.last is not None
-
-    def test_empty_history(self):
-        history = ChainHistory()
-        assert history.last is None
-        assert history.first_finalization_epoch() is None
