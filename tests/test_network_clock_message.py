@@ -77,6 +77,10 @@ class TestMessage:
         assert message.kind is MessageKind.ATTESTATION_BATCH
         assert message.payload is batch
 
+    def test_wire_carries_blocks_and_vote_batches_only(self):
+        # Slashing evidence travels inside blocks, never as its own message.
+        assert set(MessageKind) == {MessageKind.BLOCK, MessageKind.ATTESTATION_BATCH}
+
     def test_message_ids_unique(self):
         a = Message.block(BeaconBlock.genesis(), 0, 0.0)
         b = Message.block(BeaconBlock.genesis(), 0, 0.0)

@@ -243,6 +243,19 @@ class TestUniformDelay:
         )
         assert np.allclose(times, avail + 2.0)
 
+    def test_takes_no_bound_of_its_own(self):
+        with pytest.raises(TypeError):
+            UniformDelay(delta=0.5)
+
+    def test_rebinding_follows_the_new_schedule(self):
+        model = UniformDelay()
+        for delta in (0.5, 3.0):
+            model.bind(split_schedule(delta=delta), INDICES)
+            times, avail = model.delivery_times(
+                block_message(sender=0), np.arange(18), available_at=10.0
+            )
+            assert np.allclose(times, avail + delta)
+
 
 class TestFixedJitter:
     def test_latency_bounds(self):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.network.adversary import Adversary
-from repro.network.latency import FixedJitter
+from repro.network.latency import FixedJitter, UniformDelay
 from repro.network.message import Message
 from repro.network.partition import Partition, PartitionSchedule
 from repro.network.transport import Network
@@ -151,6 +151,32 @@ class TestNetwork:
         assert network.next_delivery_time() is None
         network.send(block_message(0, sent_at=3.0), recipient=1)
         assert network.next_delivery_time() == pytest.approx(5.0)
+
+    @pytest.mark.parametrize("delta", [0.5, 2.0, 3.5])
+    def test_uniform_delay_bound_is_the_schedule_delta(self, delta):
+        # UniformDelay has no bound of its own: in-partition deliveries land
+        # schedule.delta after the send, exactly as with no model at all.
+        schedule = PartitionSchedule(
+            partitions=(
+                Partition("branch-1", frozenset({0, 1, 2, 3})),
+                Partition("branch-2", frozenset({4, 5, 6, 7})),
+            ),
+            gst=1000.0,
+            delta=delta,
+        )
+        deliveries = {}
+        for model in (None, UniformDelay()):
+            network = Network(schedule, participants=list(range(10)), latency_model=model)
+            network.broadcast(block_message(0, sent_at=1.0), exclude={0})
+            deliveries[model is None] = sorted(
+                (d.recipient, d.deliver_at) for d in network.deliveries_until(2000.0)
+            )
+        assert deliveries[True] == deliveries[False]
+        times = dict(deliveries[True])
+        for recipient in (1, 2, 3, 8, 9):
+            assert times[recipient] == pytest.approx(1.0 + delta)
+        for recipient in (4, 5, 6, 7):
+            assert times[recipient] == pytest.approx(schedule.gst + delta)
 
 
 class TestDelayAccounting:

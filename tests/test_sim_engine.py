@@ -64,6 +64,45 @@ class TestHealthyNetwork:
         assert [s.epoch for s in result.snapshots] == [0, 1, 2, 3]
 
 
+class TestSnapshotRecord:
+    """``result.snapshots`` is the run's per-epoch record of the paper's observables."""
+
+    def test_finality_lags_by_the_pipeline_depth(self):
+        result = build_honest_simulation(n_validators=10).run(6)
+        finalized = [max(s.finalized_epoch_by_node.values()) for s in result.snapshots]
+        assert finalized == sorted(finalized)
+        assert finalized[-1] >= 4
+        # The lag settles at the FFG pipeline depth (2 epochs).
+        assert result.snapshots[-1].epoch - finalized[-1] <= 2
+
+    def test_partition_stalls_finality_on_every_validator(self):
+        result = build_partitioned_simulation(n_validators=10, p0=0.5).run(6)
+        for snapshot in result.snapshots:
+            assert sorted(snapshot.finalized_epoch_by_node) == list(range(10))
+            assert set(snapshot.finalized_epoch_by_node.values()) == {0}
+
+    def test_leak_runs_to_the_end_once_started(self):
+        engine = build_partitioned_simulation(n_validators=10, p0=0.5)
+        result = engine.run(8)
+        leak = result.leak_epochs()
+        assert leak == list(range(leak[0], 8))
+        assert leak[0] >= engine.config.min_epochs_to_inactivity_penalty
+        assert leak == [s.epoch for s in result.snapshots if s.any_in_leak]
+
+    def test_byzantine_proportion_series_has_one_entry_per_epoch(self):
+        engine = build_partitioned_simulation(
+            n_validators=12, p0=0.5, byzantine_fraction=0.25, byzantine_strategy="alternating"
+        )
+        series = engine.run(6).byzantine_proportion_series()
+        assert len(series) == 6
+        assert all(value == pytest.approx(0.25, abs=1e-3) for value in series)
+
+    def test_healthy_run_records_no_safety_violation(self):
+        result = build_honest_simulation(n_validators=8).run(5)
+        assert not any(s.safety_violated for s in result.snapshots)
+        assert result.first_safety_violation_epoch() is None
+
+
 class TestOfflineValidators:
     def test_large_offline_fraction_stalls_finality_and_starts_leak(self):
         engine = build_offline_fraction_simulation(n_validators=10, offline_fraction=0.4)

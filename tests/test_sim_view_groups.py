@@ -513,6 +513,41 @@ class TestViewGroupStructure:
         }
         assert result.view_groups == engine.view_groups
 
+    def test_honest_views_are_the_views_with_honest_members(self):
+        engine = build_partitioned_simulation(
+            n_validators=12,
+            p0=0.5,
+            byzantine_fraction=0.25,
+            byzantine_strategy="alternating",
+        )
+        result = engine.run(3)
+        assert set(result.view_states) == set(result.view_groups)
+        honest = set(result.honest_indices)
+        assert result.honest_views == [
+            name for name, members in result.view_groups.items() if honest & set(members)
+        ]
+        assert "bridge-byzantine" not in result.honest_views
+        assert [id(state) for state in result.honest_states()] == [
+            id(result.view_states[name]) for name in result.honest_views
+        ]
+
+    def test_per_node_result_holds_one_state_per_validator(self):
+        result = build_honest_simulation(n_validators=6, view_sharding=False).run(2)
+        assert len(result.view_states) == 6
+        assert sorted(validator_states(result)) == list(range(6))
+        assert len({id(state) for state in result.view_states.values()}) == 6
+
+    def test_finalized_epoch_readers_agree_with_last_snapshot(self):
+        # The readers take the honest views' states; the snapshot records
+        # each validator's finalized epoch. They must tell the same story.
+        engine = build_partitioned_simulation(n_validators=12, p0=0.5, gst_epoch=2)
+        result = engine.run(6)
+        last = result.snapshots[-1].finalized_epoch_by_node
+        honest = [last[index] for index in result.honest_indices]
+        assert result.max_finalized_epoch() == max(honest)
+        assert result.min_finalized_epoch() == min(honest)
+        assert result.max_finalized_epoch() > 0
+
     def test_grouped_transport_schedules_fewer_deliveries(self):
         grouped = build_partitioned_simulation(n_validators=16, p0=0.5)
         per_node = build_partitioned_simulation(n_validators=16, p0=0.5, view_sharding=False)

@@ -90,3 +90,38 @@ class TestAdvanceEpoch:
         assert advance_epoch(state) == 1
         assert advance_epoch(state) == 2
         assert state.current_epoch == 2
+
+
+class TestEpochReports:
+    """The reports ``process_epoch`` returns carry the per-epoch series."""
+
+    def test_healthy_reports_record_first_finalization(self, state):
+        pool = FFGVotePool()
+        reports = []
+        for epoch in range(1, 4):
+            source = GENESIS_CHECKPOINT if epoch == 1 else cp(epoch - 1)
+            fill_pool(pool, range(9), source, cp(epoch))
+            state.current_epoch = epoch
+            reports.append(process_epoch(state, pool, active_indices=range(9)))
+        assert [report.epoch for report in reports] == [1, 2, 3]
+        finalized = [report.epoch for report in reports if report.justification.finalized_any]
+        assert finalized[0] == 2
+        assert not any(report.in_leak for report in reports)
+        assert all(report.active_stake_ratio == pytest.approx(1.0) for report in reports)
+        # Three of the nine equal-stake validators are Byzantine-labelled.
+        assert all(report.byzantine_proportion == pytest.approx(1 / 3) for report in reports)
+
+    def test_leak_reports_track_inactive_stake(self, state):
+        pool = FFGVotePool()
+        for validator in state.validators:
+            validator.inactivity_score = 10
+        ratios = []
+        for epoch in range(6, 9):
+            state.current_epoch = epoch
+            report = process_epoch(state, pool, active_indices=range(6))
+            assert report.in_leak
+            assert not report.justification.justified_any
+            ratios.append(report.active_stake_ratio)
+        # The inactive third leaks stake, so the active share only grows.
+        assert ratios[0] > 6 / 9 - 1e-9
+        assert ratios == sorted(ratios) and ratios[-1] > ratios[0]
