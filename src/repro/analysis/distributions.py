@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import integrate
 
 from repro.analysis.randomwalk import diffusion_coefficient, drift_per_epoch
 from repro.spec.config import DEFAULT_CONFIG, SpecConfig
@@ -171,7 +170,7 @@ class BouncingStakeDistribution:
         """Numerically integrate the capped law; should be 1 (sanity check)."""
         a, b = self.ejection_balance, self.cap
         grid = np.linspace(a, b, grid_points)
-        continuous = integrate.trapezoid([self.capped_pdf(float(x), t) for x in grid], grid)
+        continuous = np.trapezoid([self.capped_pdf(float(x), t) for x in grid], grid)
         return self.ejection_mass(t) + self.cap_mass(t) + float(continuous)
 
     # ------------------------------------------------------------------

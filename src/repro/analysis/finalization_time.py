@@ -28,8 +28,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from scipy import optimize
-
 from repro.leak.ratios import active_ratio_with_semi_active_byzantine, resolve_ejection_epoch
 from repro.leak.stake import Behavior, stake_decay_exponent
 from repro.spec.config import DEFAULT_CONFIG, SpecConfig
@@ -117,6 +115,8 @@ def threshold_epoch_non_slashing(
     returned (at that point the honest inactive validators are ejected and
     the ratio jumps above it).
     """
+    from scipy import optimize  # scipy loads on the first root find only
+
     _validate_inputs(p0, beta0)
     cfg = config or DEFAULT_CONFIG
     cap = resolve_ejection_epoch(ejection_cap, cfg)

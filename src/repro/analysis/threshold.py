@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from repro import constants
 from repro.leak.ratios import (
@@ -83,6 +82,8 @@ def crossing_epoch(
     any) is located with Brent's method.  Returns ``None`` when the
     threshold is never reached before ``ejection_epoch``.
     """
+    from scipy import optimize  # scipy loads on the first root find only
+
     ejection_epoch = resolve_ejection_epoch(ejection_epoch, config)
 
     def gap(t: float) -> float:

@@ -28,7 +28,7 @@ unit interface for deterministic grid maps.
 from __future__ import annotations
 
 import os
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
@@ -210,7 +210,12 @@ def run_tasks(
     futures are cancelled; units already observed are final).
     """
     n_workers = min(resolve_jobs(jobs), len(units))
-    pool = ProcessPoolExecutor(max_workers=n_workers) if n_workers > 1 else None
+    pool = None
+    if n_workers > 1:
+        # Imported here so a serial process never loads the pool machinery.
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=n_workers)
     futures: List[Future] = []
     flat: List[Any] = []
     try:

@@ -493,9 +493,11 @@ class GossipPropagation(LatencyModel):
                 keep = drawn != owners
                 sources += [owners[keep], drawn[keep]]
                 targets += [drawn[keep], owners[keep]]
-            # Directed edge keys sort by (source, target): one unique pass
-            # deduplicates and orders every row at once.
-            keys = np.unique(np.concatenate(sources) * n + np.concatenate(targets))
+            # Directed edge keys sort by (source, target): one sort orders
+            # every row at once and a neighbour mask drops duplicate edges
+            # (numpy 2's hash-based ``np.unique`` is ~20x slower here).
+            keys = np.sort(np.concatenate(sources) * n + np.concatenate(targets))
+            keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
             rows, peers = np.divmod(keys, n)
             lengths = np.bincount(rows, minlength=n)
             starts = np.cumsum(lengths) - lengths

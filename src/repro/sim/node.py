@@ -226,9 +226,6 @@ class Node:
         #: Validators for which evidence was included in a block on this
         #: node's chain, per epoch (consumed at epoch processing).
         self.slashings_observed: Dict[int, Set[int]] = defaultdict(set)
-        #: All blocks received (for diagnostics).
-        self.blocks_received = 0
-        self.attestations_received = 0
         #: Balances as of the last justified checkpoint, used to weight
         #: fork-choice votes (the real protocol weighs LMD-GHOST votes with
         #: the justified-state balances so diverging views still converge).
@@ -332,8 +329,6 @@ class Node:
         for epoch, indices in self.slashings_observed.items():
             if indices:
                 clone.slashings_observed[epoch] = set(indices)
-        clone.blocks_received = self.blocks_received
-        clone.attestations_received = self.attestations_received
         clone._justified_stakes = self._justified_stakes.copy()
         clone._weights_version = self._weights_version
         clone._head_cache = self._head_cache
@@ -393,7 +388,6 @@ class Node:
             raise ValueError(f"unknown message kind {message.kind}")
 
     def _receive_block(self, block: BeaconBlock) -> None:
-        self.blocks_received += 1
         if block.parent_root not in self.store.tree:
             self.pending.blocks.append(block)
             return
@@ -443,7 +437,6 @@ class Node:
     def _receive_attestation_batch(
         self, batch: AttestationBatch, rows: Optional[Sequence[Attestation]] = None
     ) -> None:
-        self.attestations_received += len(batch)
         if batch.head_root not in self.store.tree:
             self.pending.attestations.append(batch)
             return

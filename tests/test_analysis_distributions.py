@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from repro.analysis.distributions import BouncingStakeDistribution
 from repro.leak.stake import semi_active_stake
@@ -96,6 +97,14 @@ class TestCappedLaw:
     def test_total_mass_is_one(self, distribution):
         for t in (1000.0, 4024.0, 7000.0):
             assert distribution.total_mass(t) == pytest.approx(1.0, abs=5e-3)
+
+    @pytest.mark.parametrize("t", [1.0, 1000.0, 4024.0, 7000.0])
+    @pytest.mark.parametrize("grid_points", [801, 2001])
+    def test_total_mass_equals_the_scipy_trapezoid(self, distribution, t, grid_points):
+        grid = np.linspace(distribution.ejection_balance, distribution.cap, grid_points)
+        continuous = integrate.trapezoid([distribution.capped_pdf(float(x), t) for x in grid], grid)
+        expected = distribution.ejection_mass(t) + distribution.cap_mass(t) + float(continuous)
+        assert distribution.total_mass(t, grid_points) == expected
 
     def test_capped_pdf_zero_outside_support(self, distribution):
         t = 4024.0

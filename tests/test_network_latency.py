@@ -489,6 +489,29 @@ def set_based_overlay(n: int, degree: int, seed: int) -> np.ndarray:
     return adjacency
 
 
+def unique_based_overlay(n: int, degree: int, seed: int) -> np.ndarray:
+    """The overlay built from ``np.unique`` over the directed-edge keys."""
+    if n <= 1:
+        return np.full((n, 1), n, dtype=np.int64)
+    pos = np.arange(n, dtype=np.int64)
+    ring = (pos + 1) % n
+    sources, targets = [pos, ring], [ring, pos]
+    extra = max(0, degree - 2)
+    if extra:
+        drawn = np.random.default_rng(seed).integers(0, n, size=(n, extra)).ravel()
+        owners = np.repeat(pos, extra)
+        keep = drawn != owners
+        sources += [owners[keep], drawn[keep]]
+        targets += [drawn[keep], owners[keep]]
+    keys = np.unique(np.concatenate(sources) * n + np.concatenate(targets))
+    rows, peers = np.divmod(keys, n)
+    lengths = np.bincount(rows, minlength=n)
+    starts = np.cumsum(lengths) - lengths
+    adjacency = np.full((n, int(lengths.max())), n, dtype=np.int64)
+    adjacency[rows, np.arange(len(keys)) - starts[rows]] = peers
+    return adjacency
+
+
 class TestGossipOverlay:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -515,6 +538,15 @@ class TestGossipOverlay:
             flat_schedule(), range(n)
         )
         expected = set_based_overlay(n, degree, seed=n + degree)
+        assert model._neighbors.dtype == expected.dtype
+        assert model._neighbors.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 7, 2 ** 31 + 5])
+    @pytest.mark.parametrize("degree", [2, 3, 8, 12])
+    @pytest.mark.parametrize("n", [1, 2, 40, 10_000])
+    def test_sorted_dedup_matches_np_unique(self, n, degree, seed):
+        model = GossipPropagation(degree=degree, seed=seed).bind(flat_schedule(), range(n))
+        expected = unique_based_overlay(n, degree, seed)
         assert model._neighbors.dtype == expected.dtype
         assert model._neighbors.tobytes() == expected.tobytes()
 

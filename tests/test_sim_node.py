@@ -36,7 +36,6 @@ class TestMessageIngestion:
         block = block_at(1)
         node.receive(Message.block(block, sender=1, sent_at=0.0))
         assert block.root in node.store.tree
-        assert node.blocks_received == 1
 
     def test_out_of_order_blocks_are_queued_then_applied(self, node):
         first = block_at(1)
@@ -164,7 +163,6 @@ class TestPendingDrainOrdering:
         batch = other.attestation_batch_for(slot=1, validators=[2, 3, 4])
         node.receive(Message.attestation_batch(batch, sender=2, sent_at=0.0))
         assert node.pending.attestations == [batch]
-        assert node.attestations_received == 3
         node.receive(Message.block(block, sender=1, sent_at=1.0))
         assert node.pending.attestations == []
         for validator in (2, 3, 4):
